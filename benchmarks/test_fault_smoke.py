@@ -36,20 +36,21 @@ from repro.scanner.zmap import InternetScanner, ScanConfig
 #: best-effort under I/O faults, the connect plane fails rarely but
 #: fatally, and a thin stream of ``worker.crash`` verdicts ``os._exit``s
 #: pool workers outright.  The crash site only fires inside a
-#: process-pool worker, so it is inert on the default thread executor
-#: and bites under ``REPRO_SMOKE_EXECUTOR=process`` — where the pool
-#: supervisor must rebuild the pool and requeue before the fatal
+#: process-pool worker, so it is inert on the serial executor and bites
+#: on the pool (``REPRO_SMOKE_EXECUTOR=process``, or the default ``auto``
+#: on a multi-core box) — where the pool supervisor must rebuild the
+#: pool and requeue before the fatal
 #: ``task`` verdict lands the interruption.  Seed 8 is pinned so the
 #: interruption lands in the second protocol sweep — the first
 #: protocol's completed shards are then journaled deterministically,
-#: whatever the thread timing.
+#: whatever the worker timing.
 _FAULTS = ("task:0.3:fatal,cache.io:0.2:transient,"
            "fabric.connect:0.00002:fatal,worker.crash:0.03")
 _FAULT_SEED = 8
 
 _SHARDS = 4
 
-#: Task executor under test ("thread"/"process"/"auto"; empty = default).
+#: Task executor under test ("serial"/"process"/"auto"; empty = default).
 _EXECUTOR = os.environ.get("REPRO_SMOKE_EXECUTOR") or None
 
 

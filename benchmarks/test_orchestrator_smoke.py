@@ -43,7 +43,7 @@ HONEYPOT_SCALE = 256
 def spec(seed):
     return CampaignSpec(
         seed=seed, scale=SCALE, honeypot_scale=HONEYPOT_SCALE,
-        shards=2, workers=2, retries=2, executor="thread",
+        shards=2, workers=2, retries=2, executor="serial",
     )
 
 

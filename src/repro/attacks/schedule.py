@@ -17,7 +17,7 @@ mirror of the scan plane's sharded campaign):
    restarted daily anyway), drawing payload bytes and timestamps from
    ``stream.derive(honeypot, day)``, so each task's output is a pure
    function of the task key and tasks can run on ``config.workers``
-   threads in any order;
+   worker processes in any order;
 3. *merge* — events are sorted into canonical (timestamp, source,
    honeypot) order, session/ICS counters are summed, and task-minted
    malware variants are adopted in canonical task order — byte-identical
@@ -339,7 +339,7 @@ class AttackScheduler:
         """Simulate the month; returns the filled logs and ledgers.
 
         Plans serially, executes the per-(honeypot, day) tasks on
-        ``config.workers`` threads (1 = inline, the serial oracle), and
+        ``config.workers`` worker processes (1 = inline), and
         merges in canonical order — output is byte-identical for every
         worker count.
 
@@ -1329,7 +1329,7 @@ class AttackScheduler:
                 result.multistage_sources.add(address)
 
 
-# -- worker-side execution (shared by thread and process paths) -----------
+# -- worker-side execution (shared by serial and process paths) -----------
 
 
 @dataclass

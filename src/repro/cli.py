@@ -31,15 +31,15 @@ experiment without writing Python:
 
 All commands accept ``--seed`` and the scale knobs, so campaigns are
 reproducible from the shell line alone, plus the engine knobs:
-``--threads`` (parallel phase execution — same bytes out, less wall time),
 ``--shards K`` (concurrent scan shards per protocol sweep — also byte
 identical for every K, with per-shard timings in the metrics),
 ``--attack-workers K`` (concurrent (honeypot, day) / (protocol, day)
 generation tasks for the attack and telescope months — byte identical for
 every K, with per-task timings in the metrics), ``--executor
-{thread,process,auto}`` (what runs those task batches — ``process`` fans
+{serial,process,auto}`` (what runs those task batches — ``process`` fans
 striped chunks out to worker processes for the months and scan shards,
-byte-identical to ``thread``; ``auto``, the default, picks per machine),
+byte-identical to ``serial``; ``auto``, the default, picks ``process``
+when there is more than one worker and more than one core),
 ``--backend
 {python,numpy,auto}`` (column backend for the three plane stores —
 ``numpy`` batch-draws and vectorizes the hot loops, byte-identical to
@@ -164,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="study seed (default 7)")
         sub.add_argument("--quick", action="store_true",
                          help="coarse scales for a ~1s run")
-        sub.add_argument("--threads", action="store_true",
-                         help="run independent phases on a thread pool "
-                              "(byte-identical output, less wall time)")
         sub.add_argument("--shards", type=int, default=1, metavar="K",
                          help="concurrent address shards per protocol scan "
                               "(byte-identical output for every K; "
@@ -178,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "(byte-identical output for every K; "
                               "default 1)")
         sub.add_argument("--executor", default="auto",
-                         metavar="{thread,process,auto}",
+                         metavar="{serial,process,auto}",
                          help="task executor for the sharded planes: "
                               "'process' fans (honeypot, day) / "
                               "(protocol, day) / scan-shard chunks out to "
                               "worker processes (byte-identical output), "
-                              "'thread' keeps them on the in-process pool, "
+                              "'serial' runs them inline, "
                               "'auto' (default) picks per machine")
         sub.add_argument("--backend", default="auto",
                          metavar="{python,numpy,auto}",
@@ -338,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--restart-budget", type=int, default=3,
                        metavar="N",
                        help="pool rebuilds before the supervisor "
-                            "downgrades to the thread executor "
+                            "finishes the batch serially "
                             "(default 3)")
     chaos.add_argument("--hang-timeout", type=float, default=5.0,
                        metavar="SECONDS",
@@ -381,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     orchestrate.add_argument("--workers", type=int, default=2, metavar="K",
                              help="attack/telescope workers per campaign "
                                   "(default 2)")
-    orchestrate.add_argument("--executor", default="thread",
-                             metavar="{thread,process,auto}",
+    orchestrate.add_argument("--executor", default="serial",
+                             metavar="{serial,process,auto}",
                              help="task executor inside each campaign "
-                                  "(default thread)")
+                                  "(default serial)")
     orchestrate.add_argument("--retries", type=int, default=2, metavar="N",
                              help="supervised-task retries per campaign "
                                   "(default 2)")
@@ -495,11 +492,7 @@ def _study(args) -> Study:
         cache = PhaseCache(directory=args.cache_dir)
     else:
         cache = None  # the shared in-process cache
-    return Study(
-        _config(args),
-        executor="thread" if args.threads else None,
-        cache=cache,
-    )
+    return Study(_config(args), cache=cache)
 
 
 def _write_metrics(study: Study, args, out) -> None:

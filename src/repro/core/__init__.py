@@ -5,9 +5,7 @@ from repro.core.engine import (
     PhaseCache,
     PhaseGraph,
     PhaseSpec,
-    SerialExecutor,
     StudyEngine,
-    ThreadedExecutor,
     build_study_graph,
     config_fingerprint,
     default_cache,
@@ -69,7 +67,6 @@ __all__ = [
     "PhaseMetric",
     "PhaseSpec",
     "QuarantineRecord",
-    "SerialExecutor",
     "Study",
     "StudyConfig",
     "StudyEngine",
@@ -78,7 +75,6 @@ __all__ = [
     "TaskDeadline",
     "TaskJournal",
     "TaskStall",
-    "ThreadedExecutor",
     "TrafficClass",
     "Violation",
     "apportion",

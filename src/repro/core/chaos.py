@@ -3,7 +3,7 @@
 This is the supervision layer's end-to-end proof.  :func:`run_chaos`
 runs the same 1:N campaign twice:
 
-1. **baseline** — fault-free, thread executor, no cache; its three plane
+1. **baseline** — fault-free, serial executor, no cache; its three plane
    stores (merged scan DB, attack-event log, FlowTuple capture) are
    digested as the byte-identity oracle.
 2. **soaked** — process executor with a seeded
@@ -283,7 +283,7 @@ def _study_config(cfg: ChaosConfig, journal_dir: Optional[str]) -> StudyConfig:
     config.attacks.workers = cfg.workers
     config.telescope.workers = cfg.workers
     if journal_dir is None:
-        executor = "thread"  # the quiet oracle run
+        executor = "serial"  # the quiet oracle run
     else:
         executor = "process"  # the plane worker faults aim at
         config.scan.retries = cfg.retries
@@ -326,7 +326,7 @@ def _orchestrator_leg(
     specs = {
         seed: CampaignSpec(
             seed=seed, scale=cfg.scale, honeypot_scale=cfg.honeypot_scale,
-            shards=2, workers=2, retries=cfg.retries, executor="thread",
+            shards=2, workers=2, retries=cfg.retries, executor="serial",
         )
         for seed in seeds
     }

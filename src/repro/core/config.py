@@ -80,7 +80,7 @@ class StudyConfig:
     #: backends produce byte-identical artifacts, so the knob is excluded
     #: from equality/fingerprints like the other deployment knobs.
     backend: str = field(default="auto", compare=False)
-    #: Task executor for the three sharded planes: ``"thread"``,
+    #: Task executor for the three sharded planes: ``"serial"``,
     #: ``"process"`` (true multi-core; sidesteps the GIL), or ``"auto"``
     #: (process when more than one worker AND more than one core are
     #: available).  Stamped over every sub-config left at the ``None``

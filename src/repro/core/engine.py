@@ -11,15 +11,12 @@ hard-coded call sequence:
   pipelines (the CLI subcommands, the benchmarks) no longer need manual
   ordering — and a *strict* caller gets a typed
   :class:`~repro.net.errors.PhaseOrderError` instead of an ``assert``;
-* independent branches execute concurrently under a pluggable executor
-  (:class:`SerialExecutor` or :class:`ThreadedExecutor`): the ZMap, Sonar
-  and Shodan snapshots fan out, classification overlaps the attack month,
-  and the telescope plus the four intel stores run five-wide.  Every
-  stochastic component draws from its own named
-  :class:`~repro.net.prng.RandomStream`, so the executor choice never
-  changes a byte of output — the one shared stream (fabric probe loss) is
-  guarded by a phase *resource* that serialises its consumers whenever
-  ``loss_rate > 0``;
+* phases run one at a time, wave by wave, in registration order within
+  a wave — the paper's original sequence.  Every stochastic component
+  draws from its own named :class:`~repro.net.prng.RandomStream`, so the
+  bytes depend on the config alone; multi-core parallelism lives one
+  level down, in the process-pool task batches of the three sharded
+  planes (:mod:`repro.core.tasks`);
 * phase outputs are memoized in a content-addressed :class:`PhaseCache`
   (in-process LRU plus an optional on-disk pickle layer) keyed by
   ``(phase name, config fingerprint)``, so a second run with an equal
@@ -31,7 +28,7 @@ hard-coded call sequence:
 :class:`~repro.core.study.Study` is a thin facade over this module; direct
 engine use looks like::
 
-    engine = StudyEngine(StudyConfig.quick(), executor="thread")
+    engine = StudyEngine(StudyConfig.quick())
     engine.ensure("infected")            # runs all eight phases
     print(engine.artifact("misconfig").total)
     print(engine.metrics.render())
@@ -49,7 +46,6 @@ import tempfile
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor as _PoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -57,7 +53,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -85,8 +80,6 @@ __all__ = [
     "PhaseGraph",
     "PhaseCache",
     "CacheStats",
-    "SerialExecutor",
-    "ThreadedExecutor",
     "StudyEngine",
     "build_study_graph",
     "config_fingerprint",
@@ -158,9 +151,6 @@ class PhaseSpec:
     #: without a data dependency (the attack month mutates the fabric the
     #: fingerprinter probes).
     after: Tuple[str, ...] = ()
-    #: Phases sharing a resource tag never run concurrently (e.g. the
-    #: fabric's probe-loss stream when ``loss_rate > 0``).
-    resources: Tuple[str, ...] = ()
     #: Paper-level rollup bucket for metrics (``scan``, ``intel`` …).
     group: str = ""
     #: Produces the artifacts; receives the engine as context.
@@ -229,8 +219,9 @@ class PhaseGraph:
         ``done`` phases (already executed) are excluded along with their
         transitive contribution.  Each returned wave contains mutually
         independent phases; waves are in dependency order, and phases
-        within a wave keep registration (canonical pipeline) order so the
-        serial executor reproduces the paper's original sequence exactly.
+        within a wave keep registration (canonical pipeline) order, which
+        is the order :meth:`StudyEngine.ensure` runs them in — the paper's
+        original sequence.
         """
         done_set = set(done)
         included: "OrderedDict[str, PhaseSpec]" = OrderedDict()
@@ -496,57 +487,6 @@ def default_cache() -> PhaseCache:
 
 
 # ---------------------------------------------------------------------------
-# Executors
-# ---------------------------------------------------------------------------
-
-class SerialExecutor:
-    """Runs each wave's tasks one after another (the reference order)."""
-
-    name = "serial"
-
-    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
-        for task in tasks:
-            task()
-
-
-class ThreadedExecutor:
-    """Runs each wave's tasks on a thread pool.
-
-    Safe because every phase draws from its own named PRNG stream and the
-    engine serialises phases sharing a declared resource; the determinism
-    tests assert byte-identical tables against :class:`SerialExecutor`.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        self.max_workers = max_workers
-
-    def run(self, tasks: Sequence[Callable[[], None]]) -> None:
-        if len(tasks) <= 1:
-            for task in tasks:
-                task()
-            return
-        workers = self.max_workers or min(len(tasks), os.cpu_count() or 4)
-        with _PoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task) for task in tasks]
-            for future in futures:
-                future.result()
-
-
-def _make_executor(
-    executor: Union[None, str, SerialExecutor, ThreadedExecutor]
-):
-    if executor is None or executor == "serial":
-        return SerialExecutor()
-    if executor in ("thread", "threads", "threaded"):
-        return ThreadedExecutor()
-    if hasattr(executor, "run"):
-        return executor
-    raise EngineError(f"unknown executor {executor!r}")
-
-
-# ---------------------------------------------------------------------------
 # The engine
 # ---------------------------------------------------------------------------
 
@@ -557,12 +497,10 @@ class StudyEngine:
         self,
         config: Optional[StudyConfig] = None,
         *,
-        executor: Union[None, str, SerialExecutor, ThreadedExecutor] = None,
         cache: Union[None, bool, PhaseCache] = None,
         graph: Optional[PhaseGraph] = None,
     ) -> None:
         self.config = config or StudyConfig()
-        self.executor = _make_executor(executor)
         if cache is None or cache is True:
             self.cache: Optional[PhaseCache] = _DEFAULT_CACHE
         elif cache is False:
@@ -572,7 +510,6 @@ class StudyEngine:
         self.graph = graph or build_study_graph(self.config)
         self.fingerprint = config_fingerprint(self.config)
         self.metrics = StudyMetrics(
-            executor=self.executor.name,
             backend=resolve_backend(getattr(self.config, "backend", None)),
         )
         self._artifacts: Dict[str, object] = {}
@@ -610,9 +547,9 @@ class StudyEngine:
         missing = [a for a in artifacts if a not in self._artifacts]
         if not missing:
             return
-        waves = self.graph.resolve(missing, done=self._done)
-        for wave in waves:
-            self.executor.run(self._wave_tasks(wave))
+        for wave in self.graph.resolve(missing, done=self._done):
+            for spec in wave:
+                self._run_phase(spec)
 
     def run_all(self) -> None:
         """Materialize every artifact the graph knows about."""
@@ -656,33 +593,6 @@ class StudyEngine:
         return TaskDeadline.parse(spec)
 
     # -- internals ---------------------------------------------------------
-
-    def _wave_tasks(self, wave: Sequence[PhaseSpec]):
-        """One callable per independently-runnable unit of a wave.
-
-        Phases sharing a resource tag are folded into a single sequential
-        task (in canonical order) so their shared state is consumed in a
-        deterministic order under any executor.
-        """
-        buckets: List[List[PhaseSpec]] = []
-        by_resource: Dict[str, List[PhaseSpec]] = {}
-        for spec in wave:
-            tag = spec.resources[0] if spec.resources else None
-            if tag is not None and tag in by_resource:
-                by_resource[tag].append(spec)
-                continue
-            bucket = [spec]
-            if tag is not None:
-                by_resource[tag] = bucket
-            buckets.append(bucket)
-
-        def task_for(bucket: List[PhaseSpec]):
-            def task() -> None:
-                for spec in bucket:
-                    self._run_phase(spec)
-            return task
-
-        return [task_for(bucket) for bucket in buckets]
 
     def _upstream_degraded(self, spec: PhaseSpec) -> Tuple[bool, bool]:
         """``(degraded_input, tainted_input)`` for a phase's requirements.
@@ -1024,12 +934,10 @@ def _count_telescope(artifacts: Dict[str, object]) -> Optional[int]:
 def build_study_graph(config: StudyConfig) -> PhaseGraph:
     """The paper's methodology as a :class:`PhaseGraph`.
 
-    Registration order is the canonical serial order.  The three scan
-    snapshots used to serialise on a ``fabric.loss`` resource when probe
-    loss was drawn from a shared sequential stream; loss verdicts are now
-    keyed per probe flow (:class:`~repro.internet.fabric.ProbeLossModel`),
-    so concurrent scan phases cannot perturb each other and need no
-    resource fencing.
+    Registration order is the canonical run order.  Probe-loss verdicts
+    are keyed per probe flow
+    (:class:`~repro.internet.fabric.ProbeLossModel`), so the three scan
+    snapshots cannot perturb each other whatever order they run in.
     """
     graph = PhaseGraph()
     graph.register(PhaseSpec(

@@ -30,7 +30,7 @@ Injection sites (the :data:`FAULT_SITES` registry):
 * ``worker.crash``   — *kills the process* rather than raises: the worker
   calls ``os._exit`` (via :func:`maybe_crash`), simulating a SIGKILL'd /
   OOM-killed pool worker.  Checked only inside process-pool workers, so
-  the thread and serial executors never see it — which is exactly what
+  the serial executor never sees it — which is exactly what
   lets the pool supervisor's downgrade ladder terminate;
 * ``worker.hang``    — *delays* like ``deadline`` but is checked at the
   chunk level inside process-pool workers (default sleep

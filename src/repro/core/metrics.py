@@ -173,7 +173,7 @@ class ExecutorMetric:
 
     A frozen copy of the plane's :class:`~repro.core.tasks.ExecutorStats`
     taken when the phase finishes: which executor actually ran the batch
-    (``serial``/``thread``/``process`` — ``auto`` resolves before this is
+    (``serial``/``process`` — ``auto`` resolves before this is
     recorded), how wide it was, and the per-worker chunk timings the
     striped scheduler produced.
     """
@@ -264,7 +264,6 @@ class BusMetric:
 class StudyMetrics:
     """Everything one engine run measured, in execution order."""
 
-    executor: str = "serial"
     #: The study-level resolved column backend ("python" or "numpy").
     backend: str = "python"
     phases: List[PhaseMetric] = field(default_factory=list)
@@ -426,7 +425,7 @@ class StudyMetrics:
 
     @property
     def wall_seconds(self) -> float:
-        """Sum of per-phase times (an upper bound under a parallel executor)."""
+        """Sum of per-phase times."""
         return sum(metric.seconds for metric in self.phases)
 
     @property
@@ -456,14 +455,13 @@ class StudyMetrics:
         """Compact operator-facing roll-up of this run.
 
         The shape the orchestrator's ``GET /campaigns/<id>/status`` and
-        ``GET /queue`` documents embed: scalar totals only — executor and
-        backend identity, wall clock, cache traffic, journal replay
-        totals, supervisor interventions, stalls, quarantine and bus
-        counts — never the per-task row lists ``to_dict()`` carries,
+        ``GET /queue`` documents embed: scalar totals only — backend
+        identity, wall clock, cache traffic, journal replay totals,
+        supervisor interventions, stalls, quarantine and bus counts —
+        never the per-task row lists ``to_dict()`` carries,
         which would bloat a status poll with thousands of timing rows.
         """
         return {
-            "executor": self.executor,
             "backend": self.backend,
             "wall_seconds": round(self.wall_seconds, 6),
             "cache_hits": self.cache_hits,
@@ -490,7 +488,6 @@ class StudyMetrics:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "executor": self.executor,
             "backend": self.backend,
             "wall_seconds": round(self.wall_seconds, 6),
             "cache_hits": self.cache_hits,
@@ -540,8 +537,7 @@ class StudyMetrics:
             )
         lines.append(
             f"total {self.wall_seconds:.3f}s over {len(self.phases)} phases "
-            f"({self.cache_hits} cached) via {self.executor} executor, "
-            f"{self.backend} columns"
+            f"({self.cache_hits} cached), {self.backend} columns"
         )
         if self.stores:
             lines.append(

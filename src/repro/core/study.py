@@ -26,9 +26,7 @@ builds the world and runs the scans on its own.  Construct with
 ``python -O``).  Phase artifacts are memoized through the engine's shared
 :class:`~repro.core.engine.PhaseCache`, so a second study with an equal
 config replays the expensive world/scan phases from cache; pass
-``cache=False`` to opt out, or ``executor="thread"`` to fan independent
-branches out over a thread pool (same seed ⇒ byte-identical tables either
-way).
+``cache=False`` to opt out.
 """
 
 from __future__ import annotations
@@ -44,12 +42,7 @@ from repro.analysis.misconfig import MisconfigReport
 from repro.analysis.multistage import MultistageReport
 from repro.attacks.schedule import ScheduleResult
 from repro.core.config import StudyConfig
-from repro.core.engine import (
-    PhaseCache,
-    SerialExecutor,
-    StudyEngine,
-    ThreadedExecutor,
-)
+from repro.core.engine import PhaseCache, StudyEngine
 from repro.core.metrics import StudyMetrics
 from repro.core.taxonomy import TrafficClass
 from repro.honeypots.base import HoneypotDeployment
@@ -169,9 +162,6 @@ class Study:
     ----------
     config:
         The study configuration (defaults to paper scales).
-    executor:
-        ``"serial"`` (default), ``"thread"``, or an executor instance —
-        how independent phases of one wave are dispatched.
     cache:
         ``None``/``True`` for the process-wide shared phase cache,
         ``False`` to disable memoization, or a private
@@ -187,15 +177,12 @@ class Study:
         self,
         config: Optional[StudyConfig] = None,
         *,
-        executor: Union[None, str, SerialExecutor, ThreadedExecutor] = None,
         cache: Union[None, bool, PhaseCache] = None,
         auto_resolve: bool = True,
     ) -> None:
         self.config = config or StudyConfig()
         self.auto_resolve = auto_resolve
-        self.engine = StudyEngine(
-            self.config, executor=executor, cache=cache
-        )
+        self.engine = StudyEngine(self.config, cache=cache)
         self.results = StudyResults(config=self.config)
 
     # -- engine plumbing ---------------------------------------------------
@@ -274,8 +261,7 @@ class Study:
     # -- the whole paper ----------------------------------------------------
 
     def run(self) -> StudyResults:
-        """Execute every phase (independent branches may run concurrently)
-        and return the results."""
+        """Execute every phase and return the results."""
         self._ensure("run", *self.engine.graph.artifacts())
         return self.results
 

@@ -4,11 +4,12 @@ The attack month shards into per-(honeypot, day) tasks, the telescope
 month into per-(protocol, day) tasks, and the scan campaign into
 per-(protocol, shard) tasks; every task draws from its own
 :meth:`~repro.net.prng.RandomStream.derive` child stream, so its output is
-a pure function of the task key and the tasks can run on a thread pool in
-any order.  :func:`run_tasks` is the executor all three planes share:
-results come back in submission order regardless of worker count, which is
-the first half of the byte-identical merge guarantee (the second half is
-the canonical sort each plane applies to the merged output).
+a pure function of the task key and the tasks can run inline or on a
+process pool in any order.  :func:`run_tasks` is the executor all three
+planes share: results come back in submission order regardless of worker
+count, which is the first half of the byte-identical merge guarantee (the
+second half is the canonical sort each plane applies to the merged
+output).
 
 Beyond scheduling, ``run_tasks`` is a *supervisor*:
 
@@ -43,14 +44,14 @@ Beyond scheduling, ``run_tasks`` is a *supervisor*:
   every task is a pure function of its derived PRNG key, the re-executed
   tasks are byte-identical to what the dead workers would have produced.
   A bounded restart budget (:data:`DEFAULT_RESTART_BUDGET`) circuit-breaks
-  the supervisor down the executor ladder — process pool → thread pool →
-  inline serial — and every restart/downgrade is recorded as a
+  the supervisor down the executor ladder — process pool → inline
+  serial — and every restart/downgrade is recorded as a
   :class:`SupervisorEvent` on the batch's :class:`ExecutorStats`
   (surfaced as supervisor rows in ``StudyMetrics``).
 
 :class:`TaskTiming` is the per-task metrics row surfaced in
-``StudyMetrics`` (and ``--metrics-json``) so the scaling benchmark can
-show where the wall time went — the attack-plane sibling of
+``StudyMetrics`` (and ``--metrics-json``) so a run can show where the
+wall time went — the attack-plane sibling of
 :class:`~repro.scanner.shard.ShardTiming`.
 """
 
@@ -61,7 +62,6 @@ import gc
 import os
 import pickle
 import re
-import sys
 import tempfile
 import threading
 import time
@@ -69,7 +69,6 @@ from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
 )
 from concurrent.futures import wait as futures_wait
 from contextlib import contextmanager
@@ -494,13 +493,13 @@ def _run_supervised(
 
 @dataclass
 class ChunkTiming:
-    """Wall time of one executor chunk (a striped slice of a task batch)."""
+    """Wall time of one process-pool chunk (a striped slice of a batch)."""
 
     chunk: int
     tasks: int
     seconds: float
-    #: Worker identity: a pid under the process executor, 0 otherwise.
-    worker: int = 0
+    #: Pid of the pool worker that ran the chunk.
+    worker: int
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -519,12 +518,11 @@ class SupervisorEvent:
     unfinished tasks requeued) or ``"downgrade"`` (the supervisor stepped
     down the executor ladder); ``reason`` is the stable trigger token —
     ``"worker-crash"`` (``BrokenProcessPool``), ``"hang-timeout"`` (no
-    chunk completed within the watchdog window), ``"restart-budget"``
-    (the rebuild budget ran out) or ``"thread-pool-unavailable"`` (the
-    thread rung itself could not start and the batch fell back to
-    serial).  ``generation`` numbers the pool incarnation the event ended
-    and ``requeued`` counts the tasks handed to the next incarnation (or
-    down the ladder).
+    chunk completed within the watchdog window) or ``"restart-budget"``
+    (the rebuild budget ran out and the batch fell back to serial).
+    ``generation`` numbers the pool incarnation the event ended and
+    ``requeued`` counts the tasks handed to the next incarnation (or down
+    the ladder).
     """
 
     action: str
@@ -599,7 +597,7 @@ class ExecutorStats:
 class ProcessPlan:
     """Picklable recipe for running a task batch in worker processes.
 
-    Thread-pool thunks close over live planes and cannot cross a process
+    Task thunks close over live planes and cannot cross a process
     boundary; a process plan replaces them with data.  ``context`` is
     pickled ONCE per worker and handed to ``setup`` in the worker's
     initializer (world/config built once per worker, not per task);
@@ -616,10 +614,10 @@ class ProcessPlan:
 
 
 #: Recognised ``--executor`` spellings.
-EXECUTORS = ("thread", "process", "auto")
+EXECUTORS = ("serial", "process", "auto")
 
 #: Pool rebuilds the supervisor performs before stepping down the
-#: executor ladder (process → thread → serial).
+#: executor ladder (process → serial).
 DEFAULT_RESTART_BUDGET = 3
 
 _default_restart_budget = DEFAULT_RESTART_BUDGET
@@ -666,8 +664,8 @@ def task_checkpoint(callback: Optional[Callable[[], None]]) -> Iterator[None]:
 
     ``callback`` is invoked with no arguments at every task boundary of
     every batch started inside the ``with`` body on this thread: before
-    each supervised task on the serial and thread rungs, and in the
-    parent as each chunk drains on the process rung (workers are
+    each supervised task on the serial rung, and in the parent as each
+    chunk drains on the process rung (workers are
     sacrificial; control flow stays in the parent).  Returning normally
     continues the batch — that is the heartbeat path.  Raising stops the
     batch at the boundary: the exception propagates out of ``run_tasks``
@@ -678,10 +676,6 @@ def task_checkpoint(callback: Optional[Callable[[], None]]) -> Iterator[None]:
     task supervision deliberately retries/wraps ``Exception`` into
     :class:`~repro.net.errors.TaskFailure`, and a degrade-mode study
     would swallow that — control flow must ride above supervision.
-
-    ``run_tasks`` captures the callback once at entry on the calling
-    thread and closes over it, so the hook survives the executor fan-out
-    even though thread-locals do not propagate into pool threads.
     """
     previous = getattr(_checkpoint_local, "callback", None)
     _checkpoint_local.callback = callback
@@ -701,14 +695,14 @@ def resolve_executor(
 
     ``auto`` picks the process pool when the batch ships a process plan,
     more than one worker is requested, and the box actually has more than
-    one core to use — otherwise the thread pool.  Output bytes are
-    identical either way; only the wall clock differs.
+    one core to use — otherwise serial.  Output bytes are identical
+    either way; only the wall clock differs.
     """
     if executor is None or executor == "auto":
         if (process_plan is not None and workers > 1
                 and (os.cpu_count() or 1) > 1):
             return "process"
-        return "thread"
+        return "serial"
     if executor not in EXECUTORS:
         raise ConfigError(
             f"unknown executor {executor!r}; expected one of {EXECUTORS}"
@@ -739,14 +733,14 @@ def _process_chunk(run, items, retries, deadline_spec, generation=0):
 
     ``items`` is ``[(index, ref, payload), ...]``.  Supervision (task/
     deadline fault sites, retries) happens worker-side through the same
-    :func:`_run_supervised` the thread path uses; journalling stays in
+    :func:`_run_supervised` the serial path uses; journalling stays in
     the parent (the journal holds a lock and a directory handle).  Soft
     stalls are collected on a local deadline and returned for the parent
     to absorb.
 
     The ``worker.crash`` / ``worker.hang`` fault sites are checked here —
-    and *only* here, so the thread and serial executors are immune and
-    the supervisor's downgrade ladder always terminates.  Both verdicts
+    and *only* here, so the serial executor is immune and the
+    supervisor's downgrade ladder always terminates.  Both verdicts
     fold ``generation`` (the pool incarnation) into the key: a task
     requeued after a pool rebuild draws a fresh, independent verdict,
     while its own PRNG draws stay byte-identical.  The checks run before
@@ -800,14 +794,13 @@ def run_tasks(
 ) -> List[_T]:
     """Run independent task thunks supervised, in submission order.
 
-    ``workers <= 1`` executes inline (the serial oracle path); anything
-    larger fans out on a thread pool, or — when ``executor`` resolves to
-    ``"process"`` and the caller supplied a :class:`ProcessPlan` — on a
-    supervised process pool that sidesteps the GIL entirely.  Either way
-    the result list order is the submission order, never the completion
-    order, so callers can merge without knowing how the work was
-    scheduled.  Cyclic GC is paused while the batch drains (see
-    :func:`paused_gc`).
+    The batch runs inline (the serial path) unless ``executor`` resolves
+    to ``"process"``, the caller supplied a :class:`ProcessPlan` and
+    ``workers > 1``: then it fans out on a supervised process pool that
+    sidesteps the GIL.  Either way the result list order is the
+    submission order, never the completion order, so callers can merge
+    without knowing how the work was scheduled.  Cyclic GC is paused
+    while the batch drains (see :func:`paused_gc`).
 
     ``refs`` names each task (defaults to anonymous per-index refs);
     ``retries`` bounds transient-failure re-execution; ``journal`` makes
@@ -816,17 +809,15 @@ def run_tasks(
     on the deadline object, hard overruns retried as transient faults);
     ``stats`` accumulates executor kind, per-chunk timings and supervisor
     events for the metrics surface.  A failure surfaces as
-    :class:`~repro.net.errors.TaskFailure` carrying the task's ref, after
-    cancelling every not-yet-started future.
+    :class:`~repro.net.errors.TaskFailure` carrying the task's ref.
 
     ``restart_budget`` and ``hang_timeout`` tune the process-pool
     supervisor (defaults come from :func:`pool_supervision` scope or the
     module constants): a broken pool or a watchdog timeout rebuilds the
     pool and requeues the unfinished tasks — byte-identical, because the
     tasks are pure functions of their derived PRNG keys — and when the
-    budget runs out the batch downgrades to the thread executor (where
-    worker fault sites cannot fire), then to serial if threads cannot be
-    spawned at all.
+    budget runs out the leftover tasks finish inline, where worker fault
+    sites cannot fire.
     """
     if refs is None:
         refs = [TaskRef("tasks", "task", index) for index in range(len(thunks))]
@@ -848,131 +839,36 @@ def run_tasks(
     restart_budget = max(0, restart_budget)
     if hang_timeout is None:
         hang_timeout = _default_hang_timeout
-    # Captured once on the calling thread: thread-locals do not propagate
-    # into pool threads, so the closure carries the hook across fan-out.
     checkpoint = getattr(_checkpoint_local, "callback", None)
 
-    def run_one(index: int) -> _T:
-        if checkpoint is not None:
-            checkpoint()
-        return _run_supervised(
-            thunks[index], refs[index], retries, journal, deadline
-        )
-
-    if workers <= 1 or len(thunks) <= 1:
-        started = time.perf_counter()
-        with paused_gc():
-            results = [run_one(index) for index in range(len(thunks))]
-        if stats is not None:
-            stats.record("serial", 1, len(thunks),
-                         time.perf_counter() - started)
-        return results
-
     results: List[Optional[_T]] = [None] * len(thunks)
-    if kind == "process" and process_plan is not None:
-        leftover = _run_process_pool(
+    pending: Sequence[int] = range(len(thunks))
+    if (kind == "process" and process_plan is not None
+            and workers > 1 and len(thunks) > 1):
+        pending = _run_process_pool(
             process_plan, refs, workers, retries, journal, deadline,
             stats, results,
             restart_budget=restart_budget, hang_timeout=hang_timeout,
             checkpoint=checkpoint,
         )
-        if leftover:
-            # Restart budget exhausted: finish the unfinished tasks on
-            # the thread rung.  Worker fault sites never fire outside a
-            # process-pool worker, so this rung cannot crash the same
-            # way — the ladder terminates.
-            _run_thread_chunks(run_one, leftover, workers, results, stats)
-        return results  # type: ignore[return-value]
+        if not pending:
+            return results  # type: ignore[return-value]
+        # Restart budget exhausted: the unfinished tasks finish inline.
+        # Worker fault sites never fire outside a process-pool worker, so
+        # this rung cannot crash the same way — the ladder terminates.
 
-    _run_thread_chunks(
-        run_one, list(range(len(thunks))), workers, results, stats
-    )
-    return results  # type: ignore[return-value]
-
-
-def _run_thread_chunks(
-    run_one: Callable[[int], _T],
-    indexes: Sequence[int],
-    workers: int,
-    results: List[Optional[_T]],
-    stats: Optional[ExecutorStats],
-) -> None:
-    """The thread rung: run ``indexes`` striped on a thread pool.
-
-    Fills ``results`` in place (the caller owns the full-batch list, so
-    the same helper serves both a whole batch and a post-downgrade
-    remainder).  If the pool itself cannot start — thread exhaustion, the
-    genuine failure mode of this rung — the batch downgrades once more
-    and runs inline, recorded as a supervisor event.
-    """
-    # Submit striped chunks, not individual tasks: a month shards into
-    # hundreds of small (unit, day) tasks, and per-future queue traffic
-    # would swamp them.  ``workers * 4`` chunks keeps the pool load-balanced
-    # when task sizes are skewed (telnet days dwarf xmpp days) while the
-    # per-chunk overhead stays negligible; the interleaved assignment keeps
-    # one expensive unit's run of days from serializing a single chunk.
-    def run_chunk(
-        chunk_indexes: Sequence[int],
-    ) -> Tuple[List[Tuple[int, _T]], float]:
-        chunk_started = time.perf_counter()
-        pairs = [(index, run_one(index)) for index in chunk_indexes]
-        return pairs, time.perf_counter() - chunk_started
-
-    n_chunks = min(len(indexes), workers * 4)
-    chunks = _striped_chunks(indexes, n_chunks)
-
-    try:
-        pool = ThreadPoolExecutor(max_workers=workers)
-    except (RuntimeError, OSError):
-        # Cannot spawn threads: the last rung of the ladder runs inline.
-        if stats is not None:
-            stats.supervisor.append(SupervisorEvent(
-                action="downgrade", reason="thread-pool-unavailable",
-                generation=0, requeued=len(indexes),
-            ))
-        started = time.perf_counter()
-        with paused_gc():
-            for index in indexes:
-                results[index] = run_one(index)
-        if stats is not None:
-            stats.record("serial", 1, len(indexes),
-                         time.perf_counter() - started)
-        return
-
-    # The tasks are coarse, independent, pure-CPU units that share nothing
-    # but the pool: the interpreter's default 5 ms switch interval just
-    # thrashes caches between them.  Widen it while the pool drains so the
-    # threaded path costs about what the inline path does even when the
-    # box has fewer cores than workers.
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(0.05)
     started = time.perf_counter()
-    try:
-        with paused_gc(), pool:
-            futures = [pool.submit(run_chunk, chunk) for chunk in chunks]
-            try:
-                for chunk_index, future in enumerate(futures):
-                    pairs, chunk_seconds = future.result()
-                    for index, result in pairs:
-                        results[index] = result
-                    if stats is not None:
-                        stats.chunks.append(ChunkTiming(
-                            chunk=chunk_index, tasks=len(pairs),
-                            seconds=chunk_seconds,
-                        ))
-                if stats is not None:
-                    stats.record("thread", workers, len(indexes),
-                                 time.perf_counter() - started)
-            except BaseException:
-                # Don't let the remaining month run to completion behind
-                # the error: unstarted chunks are cancelled; chunks already
-                # on a worker finish their current task and stop at the
-                # pool's shutdown.
-                for future in futures:
-                    future.cancel()
-                raise
-    finally:
-        sys.setswitchinterval(previous)
+    with paused_gc():
+        for index in pending:
+            if checkpoint is not None:
+                checkpoint()
+            results[index] = _run_supervised(
+                thunks[index], refs[index], retries, journal, deadline
+            )
+    if stats is not None:
+        stats.record("serial", 1, len(pending),
+                     time.perf_counter() - started)
+    return results  # type: ignore[return-value]
 
 
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
@@ -1018,6 +914,9 @@ def _run_pool_generation(
     genuinely unfinished tasks; everything committed stays committed.
     """
     payloads = process_plan.payloads
+    # ``workers * 4`` striped chunks keep the pool load-balanced when task
+    # sizes are skewed (telnet days dwarf xmpp days) while per-chunk
+    # overhead stays negligible.
     n_chunks = min(len(pending), workers * 4)
     chunks = _striped_chunks(pending, n_chunks)
     items = [
@@ -1144,7 +1043,7 @@ def _run_process_pool(
     and journal stores happen as chunk results drain back.  Workers get
     the picklable plan — context once via the pool initializer, then
     striped ``(index, ref, payload)`` chunks — and run the same
-    supervision loop the thread path does, with identical keyed fault and
+    supervision loop the serial path does, with identical keyed fault and
     deadline verdicts because those are pure in (seed, key, attempt).
 
     The supervision loop around the incarnations: a broken pool (abrupt
@@ -1154,7 +1053,7 @@ def _run_process_pool(
     keys, so re-execution is byte-identical.  Each rebuild spends one
     unit of ``restart_budget``; when the budget is gone the remaining
     task indexes are returned for :func:`run_tasks` to finish on the
-    thread rung (an empty return means the batch completed here).
+    serial rung (an empty return means the batch completed here).
     Ordinary task failures (:class:`~repro.net.errors.TaskFailure`)
     propagate — they are the task's verdict, not the pool's.
     """

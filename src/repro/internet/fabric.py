@@ -19,10 +19,10 @@ in the benchmarks.
 Loss is *order-independent*: each probe's fate is a pure function of
 ``(loss seed, src, dst, port, kind, attempt#)`` via
 :func:`~repro.net.prng.keyed_uniform`, not a draw from a shared sequential
-stream.  Interleaving probes differently — scan shards racing each other,
-phases running on a thread pool — can therefore never change which probes
-are lost, which is the foundation of the sharded scanner's byte-identical
-guarantee.  Retries still make progress because the per-flow attempt
+stream.  Interleaving probes differently — scan shards running in any
+order, inline or on a process pool — can therefore never change which
+probes are lost, which is the foundation of the sharded scanner's
+byte-identical guarantee.  Retries still make progress because the per-flow attempt
 counter advances the key.
 """
 

@@ -124,7 +124,7 @@ class CampaignSpec:
     shards: int = 4
     workers: int = 2
     retries: int = 2
-    executor: str = "thread"
+    executor: str = "serial"
     priority: int = 0
 
     def to_config(

@@ -226,8 +226,8 @@ class InternetScanner:
         # One merged batch across every (protocol, shard) unit — not one
         # batch per protocol — so the process executor pays its worker
         # bootstrap (pickling the world into each worker) once per
-        # campaign instead of once per protocol, and the thread pool can
-        # overlap a slow protocol's tail with the next protocol's shards.
+        # campaign instead of once per protocol, and the pool can overlap
+        # a slow protocol's tail with the next protocol's shards.
         tasks: List[Tuple[ProtocolId, int]] = []
         refs = []
         for protocol in self.config.protocols:
@@ -332,7 +332,7 @@ class InternetScanner:
         # ZMap permutes the address space so probes spread over the
         # network; the derived stream makes the permutation a pure
         # function of (seed, protocol, shard) — no draw-order coupling
-        # between shards, so results cannot depend on thread scheduling.
+        # between shards, so results cannot depend on worker scheduling.
         self._stream.derive(str(protocol), shard).shuffle(targets)
         return targets
 
@@ -500,7 +500,7 @@ def _scan_worker_setup(context) -> "InternetScanner":
 def _scan_worker_run(
     scanner: "InternetScanner", payload
 ) -> Tuple[List[tuple], int, float]:
-    """Run one (protocol, shard) unit; shared by the thread/process paths."""
+    """Run one (protocol, shard) unit; shared by the serial/process paths."""
     protocol, shard, addresses = payload
     started = time.perf_counter()
     worker = (

@@ -241,7 +241,7 @@ class NetworkTelescope:
 
         Runs as plan / execute / merge: source population, activity plans
         and RSDoS attack specs are drawn serially; record emission shards
-        into per-(protocol, day) tasks on ``config.workers`` threads, each
+        into per-(protocol, day) tasks on ``config.workers`` processes, each
         drawing from ``stream.derive(protocol, day)``; the merge files task
         outputs in canonical (protocol order, day) order — byte-identical
         for every worker count.

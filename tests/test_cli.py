@@ -4,7 +4,12 @@ import io
 
 import pytest
 
+from repro import StudyConfig
+from repro.attacks.schedule import AttackScheduleConfig
 from repro.cli import build_parser, main
+from repro.net.errors import ConfigError
+from repro.scanner.zmap import ScanConfig
+from repro.telescope.telescope import TelescopeConfig
 
 
 class TestParser:
@@ -107,7 +112,6 @@ class TestEngineFlags:
         )
         assert code == 0
         payload = json.loads(path.read_text())
-        assert payload["executor"] == "serial"
         phases = {p["phase"] for p in payload["phases"]}
         assert {"world", "zmap", "sonar", "shodan", "merge"} <= phases
         assert "scan" in payload["group_seconds"]
@@ -118,13 +122,6 @@ class TestEngineFlags:
         )
         assert code == 0
         assert '"cache_hits"' in text
-
-    def test_threads_output_matches_serial(self):
-        _, serial = self._run(["scan", "--quick", "--seed", "6",
-                               "--no-cache"])
-        _, threaded = self._run(["scan", "--quick", "--seed", "6",
-                                 "--no-cache", "--threads"])
-        assert serial == threaded
 
     def test_cache_dir_reused_across_invocations(self, tmp_path):
         import json
@@ -163,3 +160,31 @@ class TestRunCommand:
                        "Figure 8", "Figure 9", "Section 5.1",
                        "Section 5.3"):
             assert marker in text, marker
+
+
+class TestThreadExecutorRemoved:
+    """``thread`` is no longer an executor, nor ``--threads`` a flag."""
+
+    @pytest.mark.parametrize("request_thread", [
+        pytest.param(lambda: StudyConfig(executor="thread"),
+                     id="StudyConfig"),
+        pytest.param(lambda: ScanConfig(executor="thread"),
+                     id="ScanConfig"),
+        pytest.param(lambda: AttackScheduleConfig(executor="thread"),
+                     id="AttackScheduleConfig"),
+        pytest.param(lambda: TelescopeConfig(executor="thread"),
+                     id="TelescopeConfig"),
+        pytest.param(["run", "--quick", "--executor", "thread"],
+                     id="run --executor thread"),
+        pytest.param(["run", "--quick", "--threads"], id="run --threads"),
+    ])
+    def test_thread_is_rejected(self, request_thread):
+        if callable(request_thread):
+            with pytest.raises(ConfigError):
+                request_thread()
+            return
+        try:
+            code = main(request_thread, out=io.StringIO())
+        except SystemExit as exit:  # argparse rejects unknown flags
+            code = exit.code
+        assert code == 2

@@ -12,17 +12,10 @@ from repro.core.engine import (
     PhaseGraph,
     PhaseSpec,
     StudyEngine,
-    ThreadedExecutor,
     build_study_graph,
     config_fingerprint,
 )
-from repro.core.report import (
-    render_table4,
-    render_table5,
-    render_table8,
-    render_intersection,
-)
-from repro.internet.population import PopulationConfig
+from repro.core.report import render_table4
 from repro.net.prng import DEFAULT_SEED, RandomStream
 from repro.scanner.zmap import ScanConfig
 from repro.telescope.telescope import TelescopeConfig
@@ -227,45 +220,11 @@ class TestCache:
         assert cache.get("k")[0] is not None  # memory layer still serves
 
 
-class TestDeterminismAcrossExecutors:
-    def test_serial_and_threaded_tables_byte_identical(self):
-        serial = Study(quick(39), cache=False).run()
-        threaded = Study(quick(39), cache=False, executor="thread").run()
-        for renderer in (render_table4, render_table5, render_table8,
-                         render_intersection):
-            assert renderer(serial) == renderer(threaded)
-        assert serial.table4_counts() == threaded.table4_counts()
-        assert (serial.misconfig.total == threaded.misconfig.total)
-
-    def test_threaded_with_probe_loss_still_deterministic(self):
-        """loss_rate > 0 shares the fabric loss stream; the engine must
-        serialise the scan snapshots to keep draws ordered."""
-        def lossy():
-            config = StudyConfig.quick(seed=40)
-            config.population = PopulationConfig(
-                scale=8192, honeypot_scale=256, loss_rate=0.05
-            )
-            return config
-        serial = Study(lossy(), cache=False)
-        serial.run_scans()
-        threaded = Study(lossy(), cache=False, executor="thread")
-        threaded.run_scans()
-        assert (render_table4(serial.results)
-                == render_table4(threaded.results))
-
-    def test_custom_executor_instance(self):
-        study = Study(quick(41), cache=False,
-                      executor=ThreadedExecutor(max_workers=2))
-        study.run_scans()
-        assert study.metrics.executor == "thread"
-
-
 class TestMetrics:
     def test_metrics_shapes(self):
         study = Study(quick(42), cache=False)
         study.run()
         metrics = study.metrics
-        assert metrics.executor == "serial"
         assert len(metrics.phases) == 14
         payload = json.loads(metrics.to_json())
         assert payload["cache_misses"] == 14

@@ -546,7 +546,7 @@ class TestDeadlineRetryByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Degrade policy under the threaded executor
+# Degrade policy: a failed optional phase cascades to its consumers
 # ---------------------------------------------------------------------------
 
 def _toy_graph(calls):
@@ -580,13 +580,12 @@ def _toy_graph(calls):
     return graph
 
 
-class TestThreadedDegradeCascade:
-    def test_degrade_records_and_cascades_on_threads(self):
+class TestDegradeCascade:
+    def test_degrade_records_and_cascades(self):
         calls = []
         config = StudyConfig.quick(seed=5)
         config.fail_policy = "degrade"
-        engine = StudyEngine(config, graph=_toy_graph(calls),
-                             cache=False, executor="thread")
+        engine = StudyEngine(config, graph=_toy_graph(calls), cache=False)
         with faults.injected(_plan("dataset.load:1:fatal")):
             engine.run_all()
         assert engine.artifact("y") is None
@@ -594,21 +593,6 @@ class TestThreadedDegradeCascade:
         assert engine.artifact("w") is None
         assert "downstream" not in calls
         assert set(engine.metrics.degraded) == {"flaky", "downstream"}
-
-    def test_threaded_degrade_matches_serial(self):
-        outcomes = []
-        for executor in ("serial", "thread"):
-            config = StudyConfig.quick(seed=5)
-            config.fail_policy = "degrade"
-            engine = StudyEngine(config, graph=_toy_graph([]),
-                                 cache=False, executor=executor)
-            with faults.injected(_plan("dataset.load:1:fatal")):
-                engine.run_all()
-            outcomes.append((
-                engine.artifact("z"),
-                sorted(engine.metrics.degraded),
-            ))
-        assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

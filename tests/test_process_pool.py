@@ -1,11 +1,11 @@
-"""Process-pool executor determinism: serial vs thread vs process bytes.
+"""Process-pool executor determinism: serial vs process bytes.
 
 The three sharded planes can fan their task batches out to worker
 processes (``--executor process``): the batch ships a picklable
 :class:`~repro.core.tasks.ProcessPlan`, workers rebuild their state in an
 initializer, and the parent merges chunk results in canonical order.
 These tests pin the contract down: byte-identical output against the
-serial and threaded paths for every worker count and seed, picklable
+serial path for every worker count and seed, picklable
 worker state on all three planes, striped chunk assignment, per-worker
 chunk timings, and crash-safe ``--resume`` after a worker dies mid-month.
 """
@@ -123,7 +123,7 @@ def _capture_fingerprint(capture):
 
 
 # ---------------------------------------------------------------------------
-# Byte identity: serial vs thread vs process on every plane
+# Byte identity: serial vs process on every plane
 # ---------------------------------------------------------------------------
 
 class TestProcessPoolByteIdentity:
@@ -143,8 +143,6 @@ class TestProcessPoolByteIdentity:
         result, deployment, _ = _run_month(seed)
         baseline = _schedule_fingerprint(result, deployment)
         assert len(result.log)
-        threaded, lab, _ = _run_month(seed, workers=2, executor="thread")
-        assert _schedule_fingerprint(threaded, lab) == baseline
         for workers in (2, 5):
             sharded, lab, scheduler = _run_month(
                 seed, workers=workers, executor="process"
@@ -259,12 +257,12 @@ class TestStripedChunks:
         assert all(c.worker != 0 for c in stats.chunks)  # real pids
         assert sum(c.tasks for c in stats.chunks) == stats.tasks
 
-    def test_auto_resolves_thread_without_process_plan(self):
+    def test_auto_resolves_serial_without_process_plan(self):
         assert resolve_executor("auto", process_plan=None, workers=4) == (
-            "thread"
+            "serial"
         )
         assert resolve_executor(None, process_plan=None, workers=4) == (
-            "thread"
+            "serial"
         )
         assert resolve_executor("process", process_plan=None, workers=4) == (
             "process"

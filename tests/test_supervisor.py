@@ -5,7 +5,7 @@ The scenarios drive the real attack and telescope planes through
 rules armed, and assert the supervisor's contract: pools are rebuilt,
 only unfinished tasks are requeued, output stays byte-identical to the
 fault-free serial run, and when the restart budget runs out the batch
-downgrades to the thread rung (where worker sites cannot fire, so the
+downgrades to the serial rung (where worker sites cannot fire, so the
 ladder terminates).
 """
 
@@ -57,13 +57,13 @@ class TestCrashRecovery:
             assert 0 < event.requeued <= 180
         assert _schedule_fingerprint(result, faulted) == expected
 
-    def test_restart_budget_exhaustion_downgrades_to_threads(self):
+    def test_restart_budget_exhaustion_downgrades_to_serial(self):
         baseline, deployment, _ = _run_month(7)
         expected = _schedule_fingerprint(baseline, deployment)
 
         # Rate 1.0: every generation's first task kills its worker, so no
         # chunk ever completes — exactly ``budget`` rebuilds, then the
-        # downgrade hands the full batch to the thread rung, where the
+        # downgrade hands the full batch to the serial rung, where the
         # worker sites are inert and the batch finishes.
         plan = FaultPlan.parse("worker.crash@attacks:1.0", seed=3)
         with faults.injected(plan), tasks.pool_supervision(restart_budget=2):
@@ -81,6 +81,7 @@ class TestCrashRecovery:
         assert all(e.requeued == 180 for e in stats.supervisor)
         assert stats.restarts == 2
         assert stats.downgrades == 1
+        assert stats.kind == "serial"
         assert _schedule_fingerprint(result, faulted) == expected
 
 
@@ -94,7 +95,7 @@ class TestHangWatchdog:
 
         # Every worker task sleeps DEFAULT_HANG_DELAY (30s) — far past
         # the 1s watchdog window — so each generation is torn down with
-        # zero progress and the batch lands on the thread rung.
+        # zero progress and the batch lands on the serial rung.
         plan = FaultPlan.parse("worker.hang@telescope:1.0", seed=5)
         with faults.injected(plan), tasks.pool_supervision(
             restart_budget=1, hang_timeout=1.0
@@ -109,6 +110,7 @@ class TestHangWatchdog:
         ]
         assert stats.restarts == 1
         assert stats.downgrades == 1
+        assert stats.kind == "serial"
         assert _capture_fingerprint(capture) == expected
 
 
@@ -123,7 +125,7 @@ class TestSupervisorMetrics:
             action="pool-restart", reason="worker-crash",
             generation=0, requeued=42,
         ))
-        metrics = StudyMetrics(executor="process", backend="python")
+        metrics = StudyMetrics(backend="python")
         metrics.record_executor("attacks", stats)
 
         assert len(metrics.supervisor) == 1
@@ -219,20 +221,3 @@ class TestKeyboardInterruptResume:
         refs, thunks = _square_tasks(12)  # interrupt disarmed: re-runs clean
         assert run_tasks(thunks, 1, refs=refs, journal=resume) == expected
         assert resume.hits == 7
-
-    def test_threaded_interrupt_leaves_resumable_journal(self, tmp_path):
-        refs, clean = _square_tasks(24)
-        expected = run_tasks(clean, 1, refs=refs)
-
-        armed = [True]
-        refs, thunks = _square_tasks(24, interrupt_at=13, armed=armed)
-        journal = TaskJournal(tmp_path / "demo")
-        with pytest.raises(KeyboardInterrupt):
-            run_tasks(thunks, 3, refs=refs, journal=journal)
-
-        resume = TaskJournal(tmp_path / "demo", resume=True)
-        refs, thunks = _square_tasks(24)
-        assert run_tasks(thunks, 3, refs=refs, journal=resume) == expected
-        # Whatever subset completed before the interrupt is replayed, the
-        # rest re-executes — and the merged output is byte-identical.
-        assert resume.hits == journal.stores
