@@ -3,11 +3,11 @@
 Starts the streaming control server in-process, launches one unpaced
 campaign over a 1:4096 world through ``POST /sim/start``, polls
 ``GET /campaigns/<id>/status`` to completion, reads the SSE tail, and
-asserts the final operator snapshot digests equal the digests of the
-batch analyses computed directly over an identically configured study —
-the end-to-end spelling of the stream package's batch-equivalence
-contract.  Wall-time split (generate vs stream vs batch oracle) is
-printed for the bench trail.
+asserts the chunk-fed final operator snapshot digests equal the digests
+of the batch analyses (each operator fed its whole store once) computed
+directly over an identically configured study — the end-to-end spelling
+of the operators' chunk invariance.  Wall-time split (campaign vs batch
+analyses) is printed for the bench trail.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def test_serve_smoke():
             ("alerts raised", "-", status["alerts_total"]),
             ("digests matched", 6, len(expected)),
             ("campaign wall (s)", "-", round(campaign_seconds, 2)),
-            ("batch oracle wall (s)", "-", round(batch_seconds, 2)),
+            ("batch analyses wall (s)", "-", round(batch_seconds, 2)),
         ])
     finally:
         server.shutdown()

@@ -17,10 +17,11 @@ log and the supporting registries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.taxonomy import AttackType
 from repro.core.columns import ColumnStore
+from repro.core.operator import OperatorBase
+from repro.core.taxonomy import AttackType
 from repro.intel.exonerator import ExoneraTorDB
 from repro.net.geo import GeoRegistry
 from repro.net.rdns import ReverseDns
@@ -30,32 +31,11 @@ __all__ = [
     "dos_origin_countries",
     "duplicate_dns_sources",
     "TorAnalysis",
+    "AttackOriginsOperator",
     "analyze_tor_sources",
 ]
 
 _DOS_TYPES = (AttackType.DOS_FLOOD, AttackType.REFLECTION)
-
-
-def dos_origin_countries(
-    log: ColumnStore,
-    geo: GeoRegistry,
-    protocol: Optional[ProtocolId] = None,
-    top_k: int = 5,
-) -> List[Tuple[str, int]]:
-    """Top origin countries of DoS-related attack sources.
-
-    Returns (country name, distinct sources) pairs, descending — the §5.1
-    "attacks came from ..." lists.
-    """
-    dos_events = (
-        log.where(attack_type=_DOS_TYPES)
-        if protocol is None
-        else log.where(protocol=protocol, attack_type=_DOS_TYPES)
-    )
-    sources: Set[int] = set(dos_events.column("source"))
-    histogram = geo.histogram(sources)
-    ranked = sorted(histogram.items(), key=lambda item: -item[1])[:top_k]
-    return [(geo.country_name(code), count) for code, count in ranked]
 
 
 def duplicate_dns_sources(
@@ -105,6 +85,101 @@ class TorAnalysis:
         return second / first if first else float(second > 0)
 
 
+class AttackOriginsOperator(OperatorBase):
+    """The §5.1 source tracing as an online fold: DoS origin countries
+    and Tor-relay sources.
+
+    The snapshot holds :meth:`dos_origins` and :meth:`tor_analysis` under
+    ``"dos_origins"`` and ``"tor"``.  ExoneraTor verdicts are memoized
+    per source, so a log costs one lookup per distinct source.  ``geo``
+    may be ``None`` when only :meth:`tor_analysis` is read, and
+    ``exonerator`` may be ``None`` when only :meth:`dos_origins` is.
+    """
+
+    name = "attack_origins"
+    plane = "attacks"
+
+    def __init__(
+        self,
+        geo: Optional[GeoRegistry],
+        exonerator: Optional[ExoneraTorDB] = None,
+        *,
+        protocol: Optional[ProtocolId] = None,
+        top_k: int = 5,
+        tor_protocol: ProtocolId = ProtocolId.HTTP,
+        recurring_days: int = 3,
+    ) -> None:
+        super().__init__()
+        self._geo = geo
+        self._exonerator = exonerator
+        self._protocol = protocol
+        self._top_k = top_k
+        self._tor_protocol = tor_protocol
+        self._recurring_days = recurring_days
+        self._dos_sources: Set[int] = set()
+        self._tor_verdicts: Dict[int, bool] = {}
+        self._tor_days: Dict[int, Set[int]] = {}
+        self._tor_daily_events: Dict[int, int] = {}
+
+    def _feed_row(self, row: Any) -> None:
+        if row.attack_type in _DOS_TYPES and (
+            self._protocol is None or row.protocol == self._protocol
+        ):
+            self._dos_sources.add(row.source)
+        if self._exonerator is not None and row.protocol == self._tor_protocol:
+            source = row.source
+            verdict = self._tor_verdicts.get(source)
+            if verdict is None:
+                verdict = self._exonerator.was_tor_relay(source)
+                self._tor_verdicts[source] = verdict
+            if verdict:
+                day = row.day
+                self._tor_days.setdefault(source, set()).add(day)
+                self._tor_daily_events[day] = (
+                    self._tor_daily_events.get(day, 0) + 1
+                )
+
+    def dos_origins(self) -> List[Tuple[str, int]]:
+        """Top origin countries of the DoS sources: (country name,
+        distinct sources) pairs, descending — the §5.1 "attacks came
+        from ..." lists."""
+        histogram = self._geo.histogram(self._dos_sources)
+        ranked = sorted(
+            histogram.items(), key=lambda item: -item[1]
+        )[: self._top_k]
+        return [
+            (self._geo.country_name(code), count) for code, count in ranked
+        ]
+
+    def tor_analysis(self) -> TorAnalysis:
+        """The §5.1.6 Tor findings over the rows fed so far."""
+        return TorAnalysis(
+            relay_sources=set(self._tor_days),
+            recurring_relays={
+                source
+                for source, days in self._tor_days.items()
+                if len(days) >= self._recurring_days
+            },
+            daily_events=dict(self._tor_daily_events),
+        )
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {"dos_origins": self.dos_origins(), "tor": self.tor_analysis()}
+
+
+def dos_origin_countries(
+    log: ColumnStore,
+    geo: GeoRegistry,
+    protocol: Optional[ProtocolId] = None,
+    top_k: int = 5,
+) -> List[Tuple[str, int]]:
+    """Top origin countries of DoS-related attack sources
+    (:class:`AttackOriginsOperator` fed once)."""
+    operator = AttackOriginsOperator(geo, protocol=protocol, top_k=top_k)
+    operator.feed(log)
+    return operator.dos_origins()
+
+
 def analyze_tor_sources(
     log: ColumnStore,
     exonerator: ExoneraTorDB,
@@ -112,22 +187,11 @@ def analyze_tor_sources(
     protocol: ProtocolId = ProtocolId.HTTP,
     recurring_days: int = 3,
 ) -> TorAnalysis:
-    """Cross the protocol's attack sources with the ExoneraTor records.
-
-    Driven from the store's per-source grouping: one ExoneraTor lookup per
-    source instead of per event, and the per-source day sets come straight
-    from the grouped rows.
-    """
-    analysis = TorAnalysis()
-    for source, events in log.where(protocol=protocol).group_by_source().items():
-        if not exonerator.was_tor_relay(source):
-            continue
-        analysis.relay_sources.add(source)
-        days: Set[int] = set()
-        for event in events:
-            day = event.day
-            days.add(day)
-            analysis.daily_events[day] = analysis.daily_events.get(day, 0) + 1
-        if len(days) >= recurring_days:
-            analysis.recurring_relays.add(source)
-    return analysis
+    """Cross the protocol's attack sources with the ExoneraTor records
+    (:class:`AttackOriginsOperator` fed once)."""
+    operator = AttackOriginsOperator(
+        None, exonerator, tor_protocol=protocol,
+        recurring_days=recurring_days,
+    )
+    operator.feed(log)
+    return operator.tor_analysis()

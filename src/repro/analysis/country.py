@@ -7,12 +7,21 @@ we do the same against the study's :class:`~repro.net.geo.GeoRegistry`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.analysis.misconfig import classify_record
 from repro.core.columns import ColumnStore
+from repro.core.operator import OperatorBase
+from repro.core.taxonomy import Misconfig
 from repro.net.geo import GeoRegistry
+from repro.scanner.records import ScanRecord
 
-__all__ = ["CountryReport", "country_distribution", "country_distribution_of"]
+__all__ = [
+    "CountryReport",
+    "CountryOperator",
+    "country_distribution",
+    "country_distribution_of",
+]
 
 
 @dataclass
@@ -46,13 +55,45 @@ def country_distribution(addresses: Iterable[int], geo: GeoRegistry) -> CountryR
     return CountryReport(counts=geo.histogram(addresses))
 
 
-def country_distribution_of(
-    database: ColumnStore, geo: GeoRegistry, *, misconfigured: bool = True
-) -> CountryReport:
-    """Table 10 straight from a scan database.
+class CountryOperator(OperatorBase):
+    """Table 10 as an online fold: the misconfigured addresses of a scan
+    database, geolocated.
 
-    Filters with the typed query API (``db.where(misconfigured=True)``)
-    and geolocates the distinct responding addresses.
+    With the fingerprinted honeypots in ``exclude_addresses`` it matches
+    the study's ``countries`` artifact
+    (``country_distribution(misconfig.all_addresses(), geo)``), because
+    both reduce to the same address set.
     """
-    subset = database.where(misconfigured=misconfigured)
-    return country_distribution(subset.unique_hosts(), geo)
+
+    name = "country"
+    plane = "scan"
+
+    def __init__(
+        self,
+        geo: GeoRegistry,
+        *,
+        exclude_addresses: Optional[Set[int]] = None,
+    ) -> None:
+        super().__init__()
+        self._geo = geo
+        self._exclude = exclude_addresses or set()
+        self._addresses: Set[int] = set()
+
+    def _feed_row(self, row: ScanRecord) -> None:
+        if row.address in self._exclude:
+            return
+        if classify_record(row) != Misconfig.NONE:
+            self._addresses.add(row.address)
+
+    def snapshot(self) -> CountryReport:
+        return country_distribution(self._addresses, self._geo)
+
+
+def country_distribution_of(
+    database: ColumnStore, geo: GeoRegistry
+) -> CountryReport:
+    """Table 10 straight from a scan database
+    (:class:`CountryOperator` fed once)."""
+    operator = CountryOperator(geo)
+    operator.feed(database)
+    return operator.finalize()

@@ -10,15 +10,21 @@ Figure 2 plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.core.operator import OperatorBase
 from repro.internet.devices import DEVICE_PROFILES, DeviceProfile
 from repro.protocols.base import ProtocolId
 from repro.core.columns import ColumnStore
 from repro.scanner.records import ScanRecord
 from repro.scanner.ztag import TagEngine, TagSignature
 
-__all__ = ["build_device_signatures", "DeviceTypeReport", "identify_device_types"]
+__all__ = [
+    "build_device_signatures",
+    "DeviceTypeReport",
+    "DeviceTypeOperator",
+    "identify_device_types",
+]
 
 _NAMESPACE_TYPE = "device_type"
 _NAMESPACE_MODEL = "device_model"
@@ -96,28 +102,56 @@ class DeviceTypeReport:
         return sorted(table.items(), key=lambda item: -item[1])[:k]
 
 
+class DeviceTypeOperator(OperatorBase):
+    """Figure 2 as an online fold: tag each first-seen ``(address,
+    protocol)`` and count device types per protocol.
+
+    Rows arrive in storage order, so the ``seen`` set makes the same
+    first-seen choices at every chunk size.
+    """
+
+    name = "device_type"
+    plane = "scan"
+
+    def __init__(self, *, engine: Optional[TagEngine] = None) -> None:
+        super().__init__()
+        self._engine = engine or TagEngine(build_device_signatures())
+        self._seen: Set[Tuple[int, ProtocolId]] = set()
+        self._counts: Dict[ProtocolId, Dict[str, int]] = {}
+        self._identified = 0
+        self._unidentified = 0
+
+    def _feed_row(self, row: ScanRecord) -> None:
+        key = (row.address, row.protocol)
+        if key in self._seen:
+            return
+        self._seen.add(key)
+        device_type = self._engine.tag_record(row).tag(_NAMESPACE_TYPE)
+        if device_type is None:
+            self._unidentified += 1
+            return
+        self._identified += 1
+        protocol_counts = self._counts.setdefault(key[1], {})
+        protocol_counts[device_type] = protocol_counts.get(device_type, 0) + 1
+
+    def snapshot(self) -> DeviceTypeReport:
+        return DeviceTypeReport(
+            counts={
+                protocol: dict(table)
+                for protocol, table in self._counts.items()
+            },
+            identified=self._identified,
+            unidentified=self._unidentified,
+        )
+
+
 def identify_device_types(
     database: ColumnStore,
     *,
     engine: Optional[TagEngine] = None,
 ) -> DeviceTypeReport:
-    """Tag every record and aggregate the Figure 2 mix."""
-    engine = engine or TagEngine(build_device_signatures())
-    report = DeviceTypeReport()
-    # Dedup on (address, protocol) with one pass over the raw columns —
-    # only first-seen rows pay for a row view and signature matching.
-    seen: set = set()
-    keys = zip(database.column("address"), database.column("protocol"))
-    for index, key in enumerate(keys):
-        if key in seen:
-            continue
-        seen.add(key)
-        tagged = engine.tag_record(database.row(index))
-        device_type = tagged.tag(_NAMESPACE_TYPE)
-        if device_type is None:
-            report.unidentified += 1
-            continue
-        report.identified += 1
-        protocol_counts = report.counts.setdefault(key[1], {})
-        protocol_counts[device_type] = protocol_counts.get(device_type, 0) + 1
-    return report
+    """Tag every record and aggregate the Figure 2 mix
+    (:class:`DeviceTypeOperator` fed once)."""
+    operator = DeviceTypeOperator(engine=engine)
+    operator.feed(database)
+    return operator.finalize()

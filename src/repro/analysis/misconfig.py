@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
+from repro.core.operator import OperatorBase
 from repro.core.taxonomy import MISCONFIG_LABELS, MISCONFIG_PROTOCOL, Misconfig
 from repro.net.errors import ProtocolError
 from repro.protocols.amqp import parse_connection_start
@@ -40,6 +41,7 @@ __all__ = [
     "VULNERABLE_AMQP_VERSIONS",
     "classify_record",
     "MisconfigReport",
+    "MisconfigOperator",
     "classify_database",
 ]
 
@@ -201,21 +203,53 @@ class MisconfigReport:
         return sorted(rows, key=lambda row: row[2])
 
 
+class MisconfigOperator(OperatorBase):
+    """Table 5 as an online fold: per-class misconfigured addresses.
+
+    ``exclude_addresses`` carries the fingerprinted honeypots (the paper
+    filters them before counting Table 5).  Classification is per row,
+    so chunking is invisible.
+    """
+
+    name = "misconfig"
+    plane = "scan"
+
+    def __init__(self, *, exclude_addresses: Optional[Set[int]] = None) -> None:
+        super().__init__()
+        self._exclude = exclude_addresses or set()
+        self._hosts: Dict[Misconfig, Set[int]] = {
+            label: set() for label in MISCONFIG_PROTOCOL
+        }
+
+    def _feed_row(self, row: ScanRecord) -> None:
+        if row.address in self._exclude:
+            return
+        label = classify_record(row)
+        if label != Misconfig.NONE:
+            self._hosts[label].add(row.address)
+
+    def snapshot(self) -> MisconfigReport:
+        return MisconfigReport(
+            hosts_by_class={
+                label: set(hosts) for label, hosts in self._hosts.items()
+            }
+        )
+
+    def finalize(self) -> MisconfigReport:
+        # Sealed state needs no copy.  The fold's own sets also keep the
+        # iteration order their inserts built, which the phase cache
+        # pickles; a copy may iterate differently.
+        super().finalize()
+        return MisconfigReport(hosts_by_class=self._hosts)
+
+
 def classify_database(
     database: ColumnStore,
     *,
     exclude_addresses: Optional[Set[int]] = None,
 ) -> MisconfigReport:
-    """Classify every record; ``exclude_addresses`` carries the fingerprinted
-    honeypots (the paper filters them before counting Table 5)."""
-    exclude = exclude_addresses or set()
-    report = MisconfigReport(
-        hosts_by_class={label: set() for label in MISCONFIG_PROTOCOL}
-    )
-    for row in database.iter_rows():
-        if row.address in exclude:
-            continue
-        label = classify_record(row)
-        if label != Misconfig.NONE:
-            report.hosts_by_class[label].add(row.address)
-    return report
+    """Table 5 over a whole scan database (:class:`MisconfigOperator`
+    fed once)."""
+    operator = MisconfigOperator(exclude_addresses=exclude_addresses)
+    operator.feed(database)
+    return operator.finalize()

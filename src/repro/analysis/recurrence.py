@@ -16,11 +16,12 @@ second opinion next to the rDNS method.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.core.columns import ColumnStore
+from repro.core.operator import OperatorBase
 
-__all__ = ["RecurrencePattern", "RecurrenceClassifier"]
+__all__ = ["RecurrencePattern", "RecurrenceClassifier", "RecurrenceOperator"]
 
 
 @dataclass
@@ -65,19 +66,14 @@ class RecurrenceClassifier:
         self.min_regularity = min_regularity
 
     def patterns(self, log: ColumnStore) -> Dict[int, RecurrencePattern]:
-        """Aggregate visit patterns per source.
+        """Aggregate visit patterns per source
+        (:class:`RecurrenceOperator` fed once)."""
+        return self._fold(log).patterns()
 
-        Driven from the store's per-source index — one grouped pass
-        instead of a full scan with per-event dict lookups.
-        """
-        return {
-            source: RecurrencePattern(
-                source=source,
-                active_days={event.day for event in events},
-                total_events=len(events),
-            )
-            for source, events in log.group_by_source().items()
-        }
+    def _fold(self, log: ColumnStore) -> "RecurrenceOperator":
+        operator = RecurrenceOperator(self)
+        operator.feed(log)
+        return operator
 
     def is_recurring(self, pattern: RecurrencePattern) -> bool:
         """The §4.3.1 heuristic."""
@@ -89,14 +85,7 @@ class RecurrenceClassifier:
 
     def classify(self, log: ColumnStore) -> Tuple[Set[int], Set[int]]:
         """Split the log's sources into (recurring, one-time)."""
-        recurring: Set[int] = set()
-        one_time: Set[int] = set()
-        for source, pattern in self.patterns(log).items():
-            if self.is_recurring(pattern):
-                recurring.add(source)
-            else:
-                one_time.add(source)
-        return recurring, one_time
+        return self._fold(log).classify()
 
     def score_against(
         self, log: ColumnStore, truth_scanning: Set[int]
@@ -110,3 +99,55 @@ class RecurrenceClassifier:
         seen_truth = truth_scanning & log.unique_sources()
         recall = true_positives / len(seen_truth) if seen_truth else 0.0
         return {"precision": precision, "recall": recall}
+
+
+class RecurrenceOperator(OperatorBase):
+    """The recurrence fold online: one :class:`RecurrencePattern` per
+    source; the snapshot holds ``patterns``, ``recurring`` and
+    ``one_time``."""
+
+    name = "recurrence"
+    plane = "attacks"
+
+    def __init__(
+        self, classifier: Optional[RecurrenceClassifier] = None
+    ) -> None:
+        super().__init__()
+        self._classifier = classifier or RecurrenceClassifier()
+        self._patterns: Dict[int, RecurrencePattern] = {}
+
+    def _feed_row(self, row: Any) -> None:
+        pattern = self._patterns.get(row.source)
+        if pattern is None:
+            pattern = RecurrencePattern(source=row.source)
+            self._patterns[row.source] = pattern
+        pattern.active_days.add(row.day)
+        pattern.total_events += 1
+
+    def patterns(self) -> Dict[int, RecurrencePattern]:
+        return {
+            source: RecurrencePattern(
+                source=source,
+                active_days=set(pattern.active_days),
+                total_events=pattern.total_events,
+            )
+            for source, pattern in self._patterns.items()
+        }
+
+    def classify(self) -> Tuple[Set[int], Set[int]]:
+        recurring: Set[int] = set()
+        one_time: Set[int] = set()
+        for source, pattern in self._patterns.items():
+            if self._classifier.is_recurring(pattern):
+                recurring.add(source)
+            else:
+                one_time.add(source)
+        return recurring, one_time
+
+    def snapshot(self) -> Dict[str, Any]:
+        recurring, one_time = self.classify()
+        return {
+            "patterns": self.patterns(),
+            "recurring": recurring,
+            "one_time": one_time,
+        }

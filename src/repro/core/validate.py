@@ -29,8 +29,8 @@ The default registry checks:
   fingerprinted honeypots and are drawn from scanned hosts;
 * ``stream.snapshots_match_batch`` — fresh online operators
   (:mod:`repro.stream.operators`) fed the plane stores in uneven chunks
-  produce snapshots identical to the batch analyses (the streaming
-  service's batch-equivalence contract).
+  produce the same snapshots as twins fed each store once, which is
+  what the batch analyses are (the operators' chunk invariance).
 
 The CLI's ``repro validate`` subcommand runs the registry and maps any
 violation to exit code 5.
@@ -234,43 +234,39 @@ def _check_misconfig(engine) -> List[str]:
 
 
 def _check_stream_parity(engine) -> List[str]:
-    """The streaming contract: chunked operators == batch analyses.
+    """The streaming contract: chunk-fed operators == operators fed once.
 
     Replays the finished plane stores through a fresh stock operator set
     in deliberately uneven chunks (a prime size, so chunk boundaries
-    land everywhere), then compares every snapshot digest against its
-    batch oracle — exactly what a live ``repro serve`` campaign
-    guarantees about its final snapshots.
+    land everywhere), then compares every snapshot digest with a twin
+    fed the whole store at once — exactly what a live ``repro serve``
+    campaign guarantees about its final snapshots.
     """
-    from repro.stream.operators import Operator  # noqa: F401 (contract)
-    from repro.stream.service import default_operators, snapshots_match_batch
+    from repro.stream.service import (
+        default_operators,
+        plane_rows,
+        snapshots_match_batch,
+    )
 
     results = _StreamArtifacts(engine)
-    by_plane: Dict[str, List] = {}
-    for operator in default_operators(results):
-        by_plane.setdefault(operator.plane, []).append(operator)
-
-    def feed(plane: str, rows: List) -> None:
+    operators = default_operators(results)
+    for plane in ("scan", "attacks", "telescope"):
+        fed = [operator for operator in operators if operator.plane == plane]
+        rows = list(plane_rows(results, plane))
         for start in range(0, len(rows), 97):
             chunk = rows[start:start + 97]
-            for operator in by_plane.get(plane, []):
+            for operator in fed:
                 operator.feed(chunk)
-
-    feed("scan", list(results.merged_db.iter_rows()))
-    feed("attacks", list(results.schedule.log.iter_rows()))
-    feed("telescope", list(results.telescope.writer.records()))
-    named = {
-        operator.name: operator
-        for operators in by_plane.values() for operator in operators
-    }
-    return snapshots_match_batch(results, named)
+    return snapshots_match_batch(
+        results, {operator.name: operator for operator in operators}
+    )
 
 
 class _StreamArtifacts:
     """Adapter giving :func:`snapshots_match_batch` its results view."""
 
-    _FIELDS = ("merged_db", "fingerprints", "countries", "schedule",
-               "telescope", "exonerator", "geo")
+    _FIELDS = ("merged_db", "fingerprints", "schedule", "telescope",
+               "exonerator", "geo")
 
     def __init__(self, engine) -> None:
         for name in self._FIELDS:
@@ -307,8 +303,7 @@ def default_registry() -> InvariantRegistry:
     ))
     registry.register(Invariant(
         name="stream.snapshots_match_batch", plane="stream",
-        requires=("merged_db", "fingerprints", "countries", "schedule",
-                  "telescope", "exonerator", "geo"),
+        requires=_StreamArtifacts._FIELDS,
         check=_check_stream_parity,
     ))
     return registry

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.scanner.records import ScanDatabase, ScanRecord
+from repro.scanner.records import ScanRecord
 
 __all__ = ["TagSignature", "TagEngine", "TaggedRecord"]
 
@@ -61,10 +61,6 @@ class TagEngine:
     def __init__(self, signatures: Iterable[TagSignature]) -> None:
         self._signatures: List[TagSignature] = list(signatures)
 
-    def add(self, signature: TagSignature) -> None:
-        """Append one signature (lowest priority)."""
-        self._signatures.append(signature)
-
     def tag_record(self, record: ScanRecord) -> TaggedRecord:
         """Tag one record; first matching signature wins per namespace."""
         tagged = TaggedRecord(record=record)
@@ -74,14 +70,6 @@ class TagEngine:
             for namespace, value in signature.tags:
                 tagged.tags.setdefault(namespace, value)
         return tagged
-
-    def tag_all(self, records: Iterable[ScanRecord]) -> List[TaggedRecord]:
-        """Tag a record collection."""
-        return [self.tag_record(record) for record in records]
-
-    def tag_database(self, database: ScanDatabase) -> List[TaggedRecord]:
-        """Tag every row of a database (columnar row views, no copies)."""
-        return [self.tag_record(row) for row in database.iter_rows()]
 
     def __len__(self) -> int:
         return len(self._signatures)

@@ -3,10 +3,10 @@
 The batch study answers "what did the month look like?"; this package
 answers it *while the month happens*.  Three layers:
 
-* :mod:`repro.stream.operators` — online rewrites of the batch analyses
+* :mod:`repro.stream.operators` — the analyses' online operators
   (misconfig, device types, countries, attack origins, recurrence,
-  RSDoS), each batch-equivalent: chunked feeding yields snapshots equal
-  to the batch functions, which stay live as differential oracles.
+  RSDoS); each batch analysis is its operator fed the whole store once,
+  and chunked feeding yields the same snapshot.
 * :mod:`repro.stream.bus` — the event bus fanning row batches into the
   operators plus bounded cursor-addressed rings of recent events and
   alerts.

@@ -1,63 +1,20 @@
-"""Incremental analysis operators — the batch passes, rewritten online.
+"""The online operators the streaming service feeds, in one namespace.
 
-Each operator consumes ``append_batch``-sized chunks of plane-store rows
-(:class:`~repro.scanner.records.ScanRow`,
-:class:`~repro.honeypots.events.EventRow`,
-:class:`~repro.telescope.flowtuple.FlowTupleRecord`) through ``feed`` and
-can produce its current result at any instant through ``snapshot``.  The
-contract that makes them safe to build a service on is **batch
-equivalence**: feeding a whole log through ``feed`` in chunks of *any*
-size yields a snapshot equal to the corresponding batch function run over
-the full store — the batch passes in :mod:`repro.analysis` and
-:mod:`repro.telescope.rsdos` stay live as the differential oracles, and
-the ``stream.snapshots_match_batch`` invariant re-checks the parity over
-finished campaigns.
-
-The equivalence argument, per operator:
-
-* set/dict state is keyed on row fields and updated per row, so the
-  chunk boundaries never reach it — the fold is associative;
-* rows are fed in storage order (the same order the batch pass iterates),
-  so insertion order of every set and dict matches the batch pass and
-  order-sensitive outputs (top-k ties, first-seen dedup) agree exactly.
-
-:func:`snapshot_digest` canonicalizes any snapshot (dataclasses, enums,
-sets, non-string dict keys) into a stable SHA-256 — the spelling the
-control API, the validate invariant, and the CI smoke job all compare.
+Each paper analysis is one operator class, defined next to its report
+type; its batch entry point is that operator fed the whole store once
+(see :mod:`repro.core.operator`).  This module gathers them for the
+event bus, the control API and the tests.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
-from dataclasses import fields, is_dataclass
-from enum import Enum
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Protocol,
-    Set,
-    Tuple,
-    runtime_checkable,
-)
-
-from repro.analysis.country import CountryReport, country_distribution
-from repro.analysis.device_type import (
-    DeviceTypeReport,
-    build_device_signatures,
-)
-from repro.analysis.misconfig import MisconfigReport, classify_record
-from repro.analysis.recurrence import RecurrenceClassifier, RecurrencePattern
-from repro.core.taxonomy import MISCONFIG_PROTOCOL, AttackType, Misconfig
-from repro.net.errors import ServeError
-from repro.net.geo import GeoRegistry
-from repro.protocols.base import ProtocolId
-from repro.scanner.ztag import TagEngine
-from repro.telescope.rsdos import RsdosAttack
+from repro.analysis.attack_origins import AttackOriginsOperator
+from repro.analysis.country import CountryOperator
+from repro.analysis.device_type import DeviceTypeOperator
+from repro.analysis.misconfig import MisconfigOperator
+from repro.analysis.recurrence import RecurrenceOperator
+from repro.core.operator import Operator, OperatorBase, snapshot_digest
+from repro.telescope.rsdos import RsdosOperator
 
 __all__ = [
     "Operator",
@@ -70,458 +27,3 @@ __all__ = [
     "RsdosOperator",
     "snapshot_digest",
 ]
-
-#: Mirrors ``repro.analysis.attack_origins._DOS_TYPES`` (kept private
-#: there); the operator must bucket exactly the same event types.
-_DOS_TYPES = (AttackType.DOS_FLOOD, AttackType.REFLECTION)
-
-#: Mirrors ``repro.telescope.rsdos._BACKSCATTER_FLAGS``.
-from repro.net.packet import TcpFlags as _TcpFlags
-
-_BACKSCATTER_FLAGS = int(_TcpFlags.SYN | _TcpFlags.ACK)
-
-
-@runtime_checkable
-class Operator(Protocol):
-    """The online-operator contract the event bus fans batches into.
-
-    ``feed`` folds one chunk of rows into internal state; ``snapshot``
-    materializes the current result (cheap enough to call per batch);
-    ``finalize`` seals the operator — the returned snapshot is the
-    campaign's final answer and any further ``feed`` raises
-    :class:`~repro.net.errors.ServeError`.
-    """
-
-    name: str
-    plane: str
-
-    def feed(self, batch: Iterable[Any]) -> None: ...
-
-    def snapshot(self) -> Any: ...
-
-    def finalize(self) -> Any: ...
-
-
-class OperatorBase:
-    """Shared lifecycle/accounting plumbing for the online operators.
-
-    Subclasses implement ``_feed_row(row)`` and ``snapshot()``; the base
-    tracks rows/batches/seconds for the operator-throughput metrics and
-    enforces the finalize-then-freeze lifecycle.
-    """
-
-    name: str = "operator"
-    plane: str = "analysis"
-
-    def __init__(self) -> None:
-        self.rows_fed = 0
-        self.batches_fed = 0
-        self.seconds = 0.0
-        self.finalized = False
-
-    def feed(self, batch: Iterable[Any]) -> None:
-        """Fold one chunk of rows into the operator state."""
-        if self.finalized:
-            raise ServeError(
-                f"operator {self.name!r} is finalized and can no longer "
-                "be fed"
-            )
-        started = time.perf_counter()
-        count = 0
-        feed_row = self._feed_row
-        for row in batch:
-            feed_row(row)
-            count += 1
-        self.rows_fed += count
-        self.batches_fed += 1
-        self.seconds += time.perf_counter() - started
-
-    def _feed_row(self, row: Any) -> None:
-        raise NotImplementedError
-
-    def snapshot(self) -> Any:
-        raise NotImplementedError
-
-    def finalize(self) -> Any:
-        """Seal the operator and return the final snapshot."""
-        self.finalized = True
-        return self.snapshot()
-
-    def digest(self) -> str:
-        """Canonical SHA-256 of the current snapshot."""
-        return snapshot_digest(self.snapshot())
-
-
-# ---------------------------------------------------------------------------
-# Scan-plane operators
-# ---------------------------------------------------------------------------
-
-
-class MisconfigOperator(OperatorBase):
-    """Online :func:`~repro.analysis.misconfig.classify_database`.
-
-    State is the same per-class address sets the batch report holds;
-    classification is per row, so chunking is invisible.
-    """
-
-    name = "misconfig"
-    plane = "scan"
-
-    def __init__(self, *, exclude_addresses: Optional[Set[int]] = None) -> None:
-        super().__init__()
-        self._exclude = exclude_addresses or set()
-        self._hosts: Dict[Misconfig, Set[int]] = {
-            label: set() for label in MISCONFIG_PROTOCOL
-        }
-
-    def _feed_row(self, row: Any) -> None:
-        if row.address in self._exclude:
-            return
-        label = classify_record(row)
-        if label != Misconfig.NONE:
-            self._hosts[label].add(row.address)
-
-    def snapshot(self) -> MisconfigReport:
-        return MisconfigReport(
-            hosts_by_class={
-                label: set(hosts) for label, hosts in self._hosts.items()
-            }
-        )
-
-
-class DeviceTypeOperator(OperatorBase):
-    """Online :func:`~repro.analysis.device_type.identify_device_types`.
-
-    The batch pass dedups on first-seen ``(address, protocol)``; rows
-    arrive in storage order, so the online ``seen`` set makes the same
-    first-seen choices at every chunk size.
-    """
-
-    name = "device_type"
-    plane = "scan"
-
-    def __init__(self, *, engine: Optional[TagEngine] = None) -> None:
-        super().__init__()
-        self._engine = engine or TagEngine(build_device_signatures())
-        self._seen: Set[Tuple[int, ProtocolId]] = set()
-        self._counts: Dict[ProtocolId, Dict[str, int]] = {}
-        self._identified = 0
-        self._unidentified = 0
-
-    def _feed_row(self, row: Any) -> None:
-        key = (row.address, row.protocol)
-        if key in self._seen:
-            return
-        self._seen.add(key)
-        tagged = self._engine.tag_record(row)
-        device_type = tagged.tag("device_type")
-        if device_type is None:
-            self._unidentified += 1
-            return
-        self._identified += 1
-        protocol_counts = self._counts.setdefault(key[1], {})
-        protocol_counts[device_type] = protocol_counts.get(device_type, 0) + 1
-
-    def snapshot(self) -> DeviceTypeReport:
-        return DeviceTypeReport(
-            counts={
-                protocol: dict(table)
-                for protocol, table in self._counts.items()
-            },
-            identified=self._identified,
-            unidentified=self._unidentified,
-        )
-
-
-class CountryOperator(OperatorBase):
-    """Online Table 10: country rollup of misconfigured device addresses.
-
-    With ``exclude_addresses`` empty it matches
-    :func:`~repro.analysis.country.country_distribution_of` on the same
-    database; with the fingerprinted honeypots excluded it matches the
-    study's ``countries`` artifact
-    (``country_distribution(misconfig.all_addresses(), geo)``), because
-    both reduce to the same address set.
-    """
-
-    name = "country"
-    plane = "scan"
-
-    def __init__(
-        self,
-        geo: GeoRegistry,
-        *,
-        misconfigured: bool = True,
-        exclude_addresses: Optional[Set[int]] = None,
-    ) -> None:
-        super().__init__()
-        self._geo = geo
-        self._misconfigured = misconfigured
-        self._exclude = exclude_addresses or set()
-        self._addresses: Set[int] = set()
-
-    def _feed_row(self, row: Any) -> None:
-        if row.address in self._exclude:
-            return
-        flagged = classify_record(row) != Misconfig.NONE
-        if flagged == self._misconfigured:
-            self._addresses.add(row.address)
-
-    def snapshot(self) -> CountryReport:
-        return country_distribution(self._addresses, self._geo)
-
-
-# ---------------------------------------------------------------------------
-# Attack-plane operators
-# ---------------------------------------------------------------------------
-
-
-class AttackOriginsOperator(OperatorBase):
-    """Online §5.1 source tracing: DoS origin countries + Tor relays.
-
-    Snapshot is a dict with the two batch results under their oracle
-    names: ``dos_origins`` mirrors
-    :func:`~repro.analysis.attack_origins.dos_origin_countries` and
-    ``tor`` mirrors
-    :func:`~repro.analysis.attack_origins.analyze_tor_sources`.
-    ExoneraTor verdicts are memoized per source, so the stream pays one
-    lookup per distinct source like the grouped batch pass.
-    """
-
-    name = "attack_origins"
-    plane = "attacks"
-
-    def __init__(
-        self,
-        geo: GeoRegistry,
-        exonerator=None,
-        *,
-        protocol: Optional[ProtocolId] = None,
-        top_k: int = 5,
-        tor_protocol: ProtocolId = ProtocolId.HTTP,
-        recurring_days: int = 3,
-    ) -> None:
-        super().__init__()
-        self._geo = geo
-        self._exonerator = exonerator
-        self._protocol = protocol
-        self._top_k = top_k
-        self._tor_protocol = tor_protocol
-        self._recurring_days = recurring_days
-        self._dos_sources: Set[int] = set()
-        self._tor_verdicts: Dict[int, bool] = {}
-        self._tor_days: Dict[int, Set[int]] = {}
-        self._tor_daily_events: Dict[int, int] = {}
-
-    def _feed_row(self, row: Any) -> None:
-        if row.attack_type in _DOS_TYPES and (
-            self._protocol is None or row.protocol == self._protocol
-        ):
-            self._dos_sources.add(row.source)
-        if self._exonerator is not None and row.protocol == self._tor_protocol:
-            source = row.source
-            verdict = self._tor_verdicts.get(source)
-            if verdict is None:
-                verdict = self._exonerator.was_tor_relay(source)
-                self._tor_verdicts[source] = verdict
-            if verdict:
-                day = row.day
-                self._tor_days.setdefault(source, set()).add(day)
-                self._tor_daily_events[day] = (
-                    self._tor_daily_events.get(day, 0) + 1
-                )
-
-    def dos_origins(self) -> List[Tuple[str, int]]:
-        """The ``dos_origin_countries`` view of the current state."""
-        histogram = self._geo.histogram(self._dos_sources)
-        ranked = sorted(
-            histogram.items(), key=lambda item: -item[1]
-        )[: self._top_k]
-        return [
-            (self._geo.country_name(code), count) for code, count in ranked
-        ]
-
-    def tor_analysis(self):
-        """The ``analyze_tor_sources`` view of the current state."""
-        from repro.analysis.attack_origins import TorAnalysis
-
-        analysis = TorAnalysis(
-            relay_sources=set(self._tor_days),
-            recurring_relays={
-                source
-                for source, days in self._tor_days.items()
-                if len(days) >= self._recurring_days
-            },
-            daily_events=dict(self._tor_daily_events),
-        )
-        return analysis
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"dos_origins": self.dos_origins(), "tor": self.tor_analysis()}
-
-
-class RecurrenceOperator(OperatorBase):
-    """Online :class:`~repro.analysis.recurrence.RecurrenceClassifier`.
-
-    Maintains the per-source :class:`RecurrencePattern` fold directly;
-    snapshot reproduces ``patterns(log)`` and ``classify(log)``.
-    """
-
-    name = "recurrence"
-    plane = "attacks"
-
-    def __init__(
-        self, classifier: Optional[RecurrenceClassifier] = None
-    ) -> None:
-        super().__init__()
-        self._classifier = classifier or RecurrenceClassifier()
-        self._patterns: Dict[int, RecurrencePattern] = {}
-
-    def _feed_row(self, row: Any) -> None:
-        pattern = self._patterns.get(row.source)
-        if pattern is None:
-            pattern = RecurrencePattern(source=row.source)
-            self._patterns[row.source] = pattern
-        pattern.active_days.add(row.day)
-        pattern.total_events += 1
-
-    def patterns(self) -> Dict[int, RecurrencePattern]:
-        return {
-            source: RecurrencePattern(
-                source=source,
-                active_days=set(pattern.active_days),
-                total_events=pattern.total_events,
-            )
-            for source, pattern in self._patterns.items()
-        }
-
-    def classify(self) -> Tuple[Set[int], Set[int]]:
-        recurring: Set[int] = set()
-        one_time: Set[int] = set()
-        for source, pattern in self._patterns.items():
-            if self._classifier.is_recurring(pattern):
-                recurring.add(source)
-            else:
-                one_time.add(source)
-        return recurring, one_time
-
-    def snapshot(self) -> Dict[str, Any]:
-        recurring, one_time = self.classify()
-        return {
-            "patterns": self.patterns(),
-            "recurring": recurring,
-            "one_time": one_time,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Telescope-plane operator
-# ---------------------------------------------------------------------------
-
-
-class RsdosOperator(OperatorBase):
-    """Online :func:`~repro.telescope.rsdos.detect_rsdos`.
-
-    Buckets keep only the fold the detector needs (packet sum + distinct
-    dark targets), not the flow lists, so a month-long stream stays flat
-    in memory; ``snapshot`` emits the same sorted
-    :class:`~repro.telescope.rsdos.RsdosAttack` rows the batch detector
-    builds.
-    """
-
-    name = "rsdos"
-    plane = "telescope"
-
-    def __init__(
-        self,
-        *,
-        min_dark_targets: int = 8,
-        telescope_fraction: float = 1 / 256,
-        packet_scale: int = 16_384,
-    ) -> None:
-        super().__init__()
-        self._min_dark_targets = min_dark_targets
-        self._telescope_fraction = telescope_fraction
-        self._packet_scale = packet_scale
-        #: (src_ip, src_port, day) -> [backscatter packets, dark targets]
-        self._buckets: Dict[Tuple[int, int, int], list] = {}
-
-    def _feed_row(self, row: Any) -> None:
-        if row.tcp_flags != _BACKSCATTER_FLAGS:
-            return
-        key = (row.src_ip, row.src_port, row.day)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = [0, set()]
-            self._buckets[key] = bucket
-        bucket[0] += row.packet_count
-        bucket[1].add(row.dst_ip)
-
-    def snapshot(self) -> List[RsdosAttack]:
-        attacks: List[RsdosAttack] = []
-        for (victim, port, day), (packets, targets) in sorted(
-            self._buckets.items()
-        ):
-            if len(targets) < self._min_dark_targets:
-                continue
-            attacks.append(RsdosAttack(
-                victim=victim,
-                victim_port=port,
-                day=day,
-                backscatter_packets=packets,
-                distinct_dark_targets=len(targets),
-                estimated_attack_packets=int(
-                    packets * self._packet_scale / self._telescope_fraction
-                ),
-            ))
-        return attacks
-
-
-# ---------------------------------------------------------------------------
-# Canonical snapshot digests
-# ---------------------------------------------------------------------------
-
-
-def _canonical(value: Any) -> Any:
-    """Reduce a snapshot to order-independent JSON-encodable structure."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__type__": type(value).__name__,
-            **{
-                field.name: _canonical(getattr(value, field.name))
-                for field in fields(value)
-            },
-        }
-    if isinstance(value, Enum):
-        return f"{type(value).__name__}.{value.name}"
-    if isinstance(value, dict):
-        items = [
-            (json.dumps(_canonical(key), sort_keys=True), _canonical(item))
-            for key, item in value.items()
-        ]
-        return {key: item for key, item in sorted(items)}
-    if isinstance(value, (set, frozenset)):
-        return sorted(
-            (_canonical(item) for item in value),
-            key=lambda item: json.dumps(item, sort_keys=True),
-        )
-    if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    if isinstance(value, bytes):
-        return value.hex()
-    return repr(value)
-
-
-def snapshot_digest(snapshot: Any) -> str:
-    """A stable SHA-256 over the canonical form of any operator snapshot.
-
-    Equal results (regardless of set/dict iteration order) digest
-    equally; this is the value the status API reports and the CI smoke
-    job compares against the batch run.
-    """
-    canonical = json.dumps(
-        _canonical(snapshot), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

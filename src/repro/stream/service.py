@@ -19,10 +19,12 @@
 Replaying the deterministically generated stores — rather than sampling
 a second PRNG — is what makes the acceptance guarantee trivial to state:
 the events a live campaign streams are *exactly* the events the batch
-run produces for the same config, so the final operator snapshots must
-equal the batch analyses, and :meth:`CampaignService.verify_against_batch`
-(also registered as the ``stream.snapshots_match_batch`` validate
-invariant) re-derives every batch oracle and checks.
+run produces for the same config, and a batch analysis is its operator
+fed the whole store once, so the chunk-fed final snapshots must equal
+the batch results.  :meth:`CampaignService.verify_against_batch` (also
+registered as the ``stream.snapshots_match_batch`` validate invariant)
+feeds a fresh twin of each operator its whole plane once and compares
+digests.
 
 Pacing never changes bytes: ``events_per_second=0`` (the default)
 streams unpaced, and any positive rate only inserts wall-clock sleeps
@@ -34,15 +36,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-from repro.analysis.attack_origins import (
-    analyze_tor_sources,
-    dos_origin_countries,
-)
-from repro.analysis.country import country_distribution_of
-from repro.analysis.misconfig import classify_database
-from repro.analysis.recurrence import RecurrenceClassifier
 from repro.core.config import StudyConfig
 from repro.core.study import Study
 from repro.net.errors import ConfigError, ServeError
@@ -57,9 +52,14 @@ from repro.stream.operators import (
     RsdosOperator,
     snapshot_digest,
 )
-from repro.telescope.rsdos import detect_rsdos
 
-__all__ = ["StreamConfig", "CampaignService", "default_operators"]
+__all__ = [
+    "StreamConfig",
+    "CampaignService",
+    "default_operators",
+    "plane_rows",
+    "snapshots_match_batch",
+]
 
 #: Streaming order: scan world first, then the attack month, then the
 #: telescope capture — the same order the paper's analysis consumes them.
@@ -73,7 +73,7 @@ class StreamConfig:
     ``events_per_second`` throttles the replay (0 = unpaced);
     ``batch_size`` is the chunk granularity the operators are fed at —
     any value yields identical final snapshots (the operators are
-    batch-equivalent), it only trades tail latency against overhead.
+    chunk-invariant), it only trades tail latency against overhead.
 
     ``queue_capacity``/``publish_policy`` configure the bus's bounded
     publish queue (see :class:`~repro.stream.bus.EventBus`): 0 keeps the
@@ -130,12 +130,11 @@ class StreamConfig:
 def default_operators(results, *, exclude_honeypots: bool = True):
     """The stock operator set over finished study artifacts.
 
-    Returns the six online operators wired exactly like the batch
-    analyses the study runs: the scan operators exclude the
-    fingerprinted honeypots (as ``classify_database`` does in the
-    classify phase), the attack operators share the study's geo registry
-    and ExoneraTor store, and the telescope operator uses the detector
-    defaults.
+    Returns the six online operators wired exactly like the analyses
+    the study runs: the scan operators exclude the fingerprinted
+    honeypots (as the classify phase does for Table 5), the attack
+    operators share the study's geo registry and ExoneraTor store, and
+    the telescope operator uses the detector defaults.
     """
     exclude = (
         results.fingerprints.addresses()
@@ -336,14 +335,6 @@ class CampaignService:
             self.bus.register(operator)
         return self._operators
 
-    def _plane_rows(self, plane: str) -> List[Any]:
-        results = self.study.results
-        if plane == "scan":
-            return list(results.merged_db.iter_rows())
-        if plane == "attacks":
-            return list(results.schedule.log.iter_rows())
-        return list(results.telescope.writer.records())
-
     def _stream_planes(self) -> None:
         operators = self._ensure_operators()
         self.state = "streaming"
@@ -354,7 +345,7 @@ class CampaignService:
         # (operators are not thread-safe) — day/campaign alerts remain.
         watch_chunks = self.stream.queue_capacity <= 0
         for plane in _PLANES:
-            rows = self._plane_rows(plane)
+            rows = list(plane_rows(self.study.results, plane))
             progress = {"rows_total": len(rows), "rows_fed": 0, "batches": 0}
             self._progress[plane] = progress
             self.current_plane = plane
@@ -511,12 +502,12 @@ class CampaignService:
     # -- batch parity -----------------------------------------------------
 
     def verify_against_batch(self) -> List[str]:
-        """Check every operator snapshot against its batch oracle.
+        """Check every operator snapshot against the batch analysis.
 
         Returns mismatch messages (empty = parity holds).  Must run
-        after the stream finished (``done``); the oracles are the batch
-        analysis functions over the same finished stores the stream
-        replayed.
+        after the stream finished (``done``); the batch analysis is each
+        operator's twin fed the same finished store the stream replayed,
+        in one call.
         """
         if self.state != "done":
             raise ServeError(
@@ -527,83 +518,49 @@ class CampaignService:
         )
 
 
+def plane_rows(results, plane: str) -> Iterator[Any]:
+    """One plane store's rows in storage order (``scan``, ``attacks`` or
+    ``telescope``)."""
+    if plane == "scan":
+        return results.merged_db.iter_rows()
+    if plane == "attacks":
+        return results.schedule.log.iter_rows()
+    return results.telescope.writer.records()
+
+
 def snapshots_match_batch(results, operators: Dict[str, Operator]) -> List[str]:
-    """Compare online-operator snapshots with their batch oracles.
+    """Compare fed operators with twins fed their whole plane at once.
 
     ``operators`` maps operator name → fed operator; any of the six
-    stock names present is checked, others are ignored.  Shared by
+    stock names present is checked against a fresh twin from
+    :func:`default_operators` fed the finished plane store in one call —
+    the batch analysis — and others are ignored.  Shared by
     :meth:`CampaignService.verify_against_batch` and the
     ``stream.snapshots_match_batch`` validate invariant.
     """
     problems: List[str] = []
-
-    def check(name: str, online: Any, batch: Any) -> None:
-        online_digest = snapshot_digest(online)
-        batch_digest = snapshot_digest(batch)
-        if online_digest != batch_digest:
+    for twin in default_operators(results):
+        operator = operators.get(twin.name)
+        if operator is None:
+            continue
+        twin.feed(plane_rows(results, twin.plane))
+        online = operator.digest()
+        batch = snapshot_digest(twin.finalize())
+        if online != batch:
             problems.append(
-                f"operator {name!r} snapshot diverges from its batch "
-                f"oracle (online {online_digest[:12]}, "
-                f"batch {batch_digest[:12]})"
+                f"operator {twin.name!r} snapshot diverges from the batch "
+                f"run (online {online[:12]}, batch {batch[:12]})"
             )
-
-    exclude = (
-        results.fingerprints.addresses()
-        if results.fingerprints is not None else set()
-    )
-    operator = operators.get("misconfig")
-    if operator is not None:
-        check("misconfig", operator.snapshot(), classify_database(
-            results.merged_db, exclude_addresses=exclude,
-        ))
-    operator = operators.get("device_type")
-    if operator is not None:
-        from repro.analysis.device_type import identify_device_types
-
-        check("device_type", operator.snapshot(),
-              identify_device_types(results.merged_db))
-    operator = operators.get("country")
-    if operator is not None:
-        # The study's countries artifact: misconfigured addresses minus
-        # the fingerprinted honeypots, geolocated.
-        batch = (
-            results.countries
-            if results.countries is not None
-            else country_distribution_of(results.merged_db, results.geo)
-        )
-        check("country", operator.snapshot(), batch)
-    operator = operators.get("attack_origins")
-    if operator is not None:
-        check("attack_origins", operator.snapshot(), {
-            "dos_origins": dos_origin_countries(
-                results.schedule.log, results.geo
-            ),
-            "tor": analyze_tor_sources(
-                results.schedule.log, results.exonerator
-            ),
-        })
-    operator = operators.get("recurrence")
-    if operator is not None:
-        classifier = RecurrenceClassifier()
-        recurring, one_time = classifier.classify(results.schedule.log)
-        check("recurrence", operator.snapshot(), {
-            "patterns": classifier.patterns(results.schedule.log),
-            "recurring": recurring,
-            "one_time": one_time,
-        })
-    operator = operators.get("rsdos")
-    if operator is not None:
-        check("rsdos", operator.snapshot(),
-              detect_rsdos(results.telescope.writer.records()))
     return problems
 
 
 class _AlertWatcher:
     """Turns operator-state growth into alerts at chunk granularity.
 
-    Watches the cheap counters only (bucket counts, set sizes) so the
-    per-batch cost stays O(1); snapshot-grade summaries happen at day
-    boundaries and campaign end.
+    After every batch it counts RSDoS detections (``snapshot()``, which
+    sorts every bucket), recurring sources (``classify()``, which walks
+    every source) and DoS sources (a set size), so a batch costs time
+    that grows with the operator state, not O(1).
     """
 
     def __init__(self, service: CampaignService, plane: str) -> None:

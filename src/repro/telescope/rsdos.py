@@ -11,9 +11,10 @@ This module provides both directions:
 
 * :class:`BackscatterGenerator` — given spoofed DoS attack specs, emit the
   victim's backscatter FlowTuples into a telescope capture;
-* :func:`detect_rsdos` — the Moore-style detector: group backscatter-
-  flagged flows (SYN-ACK/RST from one source toward many dark addresses)
-  into :class:`RsdosAttack` records, the daily metadata rows.
+* :class:`RsdosOperator` / :func:`detect_rsdos` — the Moore-style
+  detector: group backscatter-flagged flows (SYN-ACK/RST from one source
+  toward many dark addresses) into :class:`RsdosAttack` records, the
+  daily metadata rows.
 """
 
 from __future__ import annotations
@@ -22,12 +23,19 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.columns import ColumnStore
+from repro.core.operator import OperatorBase
 from repro.net.ipv4 import CidrBlock, int_to_ip
 from repro.net.packet import TcpFlags, TransportProtocol
 from repro.net.prng import RandomStream
 from repro.telescope.flowtuple import FlowTupleRecord
 
-__all__ = ["SpoofedDosAttack", "RsdosAttack", "BackscatterGenerator", "detect_rsdos"]
+__all__ = [
+    "SpoofedDosAttack",
+    "RsdosAttack",
+    "BackscatterGenerator",
+    "RsdosOperator",
+    "detect_rsdos",
+]
 
 _BACKSCATTER_FLAGS = int(TcpFlags.SYN | TcpFlags.ACK)
 
@@ -133,6 +141,64 @@ class BackscatterGenerator:
         return emitted
 
 
+class RsdosOperator(OperatorBase):
+    """The RSDoS detector as an online fold.
+
+    A source sending SYN-ACKs to at least ``min_dark_targets`` distinct
+    dark addresses on one day is inferred to be a DoS *victim*; the
+    attack volume is estimated by rescaling the observed backscatter.
+    Buckets keep only that fold (packet sum + distinct dark targets),
+    not the flows, so a month-long stream stays flat in memory.
+    """
+
+    name = "rsdos"
+    plane = "telescope"
+
+    def __init__(
+        self,
+        *,
+        min_dark_targets: int = 8,
+        telescope_fraction: float = 1 / 256,
+        packet_scale: int = 16_384,
+    ) -> None:
+        super().__init__()
+        self._min_dark_targets = min_dark_targets
+        self._telescope_fraction = telescope_fraction
+        self._packet_scale = packet_scale
+        #: (src_ip, src_port, day) -> [backscatter packets, dark targets]
+        self._buckets: Dict[Tuple[int, int, int], list] = {}
+
+    def _feed_row(self, row: FlowTupleRecord) -> None:
+        if row.tcp_flags != _BACKSCATTER_FLAGS:
+            return
+        key = (row.src_ip, row.src_port, row.day)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = [0, set()]
+            self._buckets[key] = bucket
+        bucket[0] += row.packet_count
+        bucket[1].add(row.dst_ip)
+
+    def snapshot(self) -> List[RsdosAttack]:
+        attacks: List[RsdosAttack] = []
+        for (victim, port, day), (packets, targets) in sorted(
+            self._buckets.items()
+        ):
+            if len(targets) < self._min_dark_targets:
+                continue
+            attacks.append(RsdosAttack(
+                victim=victim,
+                victim_port=port,
+                day=day,
+                backscatter_packets=packets,
+                distinct_dark_targets=len(targets),
+                estimated_attack_packets=int(
+                    packets * self._packet_scale / self._telescope_fraction
+                ),
+            ))
+        return attacks
+
+
 def detect_rsdos(
     records: Iterable[FlowTupleRecord],
     *,
@@ -140,37 +206,16 @@ def detect_rsdos(
     telescope_fraction: float = 1 / 256,
     packet_scale: int = 16_384,
 ) -> List[RsdosAttack]:
-    """Moore-style backscatter detection over a record stream.
-
-    A source sending SYN-ACKs to at least ``min_dark_targets`` distinct
-    dark addresses on one day is inferred to be a DoS *victim*; the attack
-    volume is estimated by rescaling the observed backscatter.  Accepts
-    any record iterable, including a
-    :class:`~repro.core.columns.ColumnStore` (the telescope's flow store).
-    """
+    """Moore-style backscatter detection over a record stream
+    (:class:`RsdosOperator` fed once).  Accepts any record iterable,
+    including a :class:`~repro.core.columns.ColumnStore` (the
+    telescope's flow store)."""
     if isinstance(records, ColumnStore):
         records = records.iter_rows()
-    buckets: Dict[Tuple[int, int, int], List[FlowTupleRecord]] = {}
-    for record in records:
-        if record.tcp_flags != _BACKSCATTER_FLAGS:
-            continue
-        key = (record.src_ip, record.src_port, record.day)
-        buckets.setdefault(key, []).append(record)
-
-    attacks: List[RsdosAttack] = []
-    for (victim, port, day), flows in sorted(buckets.items()):
-        targets = {flow.dst_ip for flow in flows}
-        if len(targets) < min_dark_targets:
-            continue
-        packets = sum(flow.packet_count for flow in flows)
-        attacks.append(RsdosAttack(
-            victim=victim,
-            victim_port=port,
-            day=day,
-            backscatter_packets=packets,
-            distinct_dark_targets=len(targets),
-            estimated_attack_packets=int(
-                packets * packet_scale / telescope_fraction
-            ),
-        ))
-    return attacks
+    operator = RsdosOperator(
+        min_dark_targets=min_dark_targets,
+        telescope_fraction=telescope_fraction,
+        packet_scale=packet_scale,
+    )
+    operator.feed(records)
+    return operator.finalize()

@@ -1,11 +1,11 @@
-"""Online operators: batch equivalence under arbitrary chunking.
+"""Online operators: every analysis is invariant under chunking.
 
-The streaming contract (DESIGN.md §9) is that feeding a plane store
-through an operator in chunks of *any* size — including one row at a
-time and the whole log at once — produces a snapshot equal to the batch
-analysis function run over the full store.  These tests pin that
-equivalence on both canonical seeds, with fixed chunk sizes and with
-hypothesis-drawn irregular chunk boundaries.
+Each batch analysis is its operator fed the whole store once
+(DESIGN.md §9), so one property covers the streaming contract: feeding
+a plane store's rows split at any boundaries — one row at a time, a
+prime size, the whole log at once, or drawn irregular chunks — finalizes
+to the digest of the batch entry point.  The values themselves are
+pinned by ``test_analysis_goldens.py``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Study, StudyConfig
@@ -34,8 +34,10 @@ from repro.stream import (
     Operator,
     RecurrenceOperator,
     RsdosOperator,
+    default_operators,
     snapshot_digest,
 )
+from repro.stream.service import plane_rows
 from repro.telescope.rsdos import detect_rsdos
 
 BOTH_SEEDS = pytest.mark.parametrize("seed", [7, 1234])
@@ -57,152 +59,118 @@ def study_results(seed: int):
     return study.results
 
 
-def feed_chunked(operator: Operator, rows, size: int) -> None:
-    for start in range(0, len(rows), size):
+@functools.lru_cache(maxsize=None)
+def rows_of(seed: int, plane: str):
+    return tuple(plane_rows(study_results(seed), plane))
+
+
+def _recurrence(log):
+    classifier = RecurrenceClassifier()
+    recurring, one_time = classifier.classify(log)
+    return {
+        "patterns": classifier.patterns(log),
+        "recurring": recurring,
+        "one_time": one_time,
+    }
+
+
+#: Operator name → its batch entry points over the finished study, wired
+#: like :func:`~repro.stream.service.default_operators`.
+BATCH = {
+    "misconfig": lambda results: classify_database(
+        results.merged_db, exclude_addresses=results.fingerprints.addresses()
+    ),
+    "device_type": lambda results: identify_device_types(results.merged_db),
+    "country": lambda results: results.countries,
+    "attack_origins": lambda results: {
+        "dos_origins": dos_origin_countries(
+            results.schedule.log, results.geo
+        ),
+        "tor": analyze_tor_sources(results.schedule.log, results.exonerator),
+    },
+    "recurrence": lambda results: _recurrence(results.schedule.log),
+    "rsdos": lambda results: detect_rsdos(results.telescope.writer.records()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def batch_digest(name: str, seed: int) -> str:
+    return snapshot_digest(BATCH[name](study_results(seed)))
+
+
+def feed_in_chunks(operator: Operator, rows, sizes) -> None:
+    """Feed ``rows`` in chunks whose sizes cycle through ``sizes``."""
+    start = index = 0
+    while start < len(rows):
+        size = sizes[index % len(sizes)]
         operator.feed(rows[start:start + size])
+        start += size
+        index += 1
 
 
-def scan_rows(results):
-    return list(results.merged_db.iter_rows())
+def assert_chunk_invariant(name: str, seed: int, sizes) -> None:
+    """The stock operator ``name``, fed in chunks, digests like its batch
+    entry point."""
+    results = study_results(seed)
+    (operator,) = (
+        candidate for candidate in default_operators(results)
+        if candidate.name == name
+    )
+    feed_in_chunks(operator, rows_of(seed, operator.plane), sizes)
+    assert snapshot_digest(operator.finalize()) == batch_digest(name, seed)
 
 
-def attack_rows(results):
-    return list(results.schedule.log.iter_rows())
+def chunk_invariance(name: str):
+    """The chunk-invariance property of one stock operator, on both seeds."""
+
+    @BOTH_SEEDS
+    @settings(max_examples=8, deadline=None)
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=5000),
+                          min_size=1, max_size=12))
+    def test(seed, sizes):
+        assert_chunk_invariant(name, seed, sizes)
+
+    return test
 
 
-def flow_rows(results):
-    return list(results.telescope.writer.records())
-
-
-# ---------------------------------------------------------------------------
-# Per-operator equivalence at fixed chunk sizes
-# ---------------------------------------------------------------------------
+test_misconfig_any_boundaries = chunk_invariance("misconfig")
+test_device_type_any_boundaries = chunk_invariance("device_type")
+test_country_any_boundaries = chunk_invariance("country")
+test_attack_origins_any_boundaries = chunk_invariance("attack_origins")
+test_recurrence_any_boundaries = chunk_invariance("recurrence")
+test_rsdos_any_boundaries = chunk_invariance("rsdos")
 
 
 @BOTH_SEEDS
 @pytest.mark.parametrize("size", CHUNK_SIZES)
 class TestChunkedEqualsBatch:
+    """The property at the fixed chunk sizes."""
+
     def test_misconfig(self, seed, size):
-        results = study_results(seed)
-        exclude = results.fingerprints.addresses()
-        operator = MisconfigOperator(exclude_addresses=exclude)
-        feed_chunked(operator, scan_rows(results), size)
-        batch = classify_database(
-            results.merged_db, exclude_addresses=exclude
-        )
-        assert operator.snapshot() == batch
-        assert operator.digest() == snapshot_digest(batch)
+        assert_chunk_invariant("misconfig", seed, [size])
 
     def test_device_type(self, seed, size):
-        results = study_results(seed)
-        operator = DeviceTypeOperator()
-        feed_chunked(operator, scan_rows(results), size)
-        batch = identify_device_types(results.merged_db)
-        assert operator.snapshot() == batch
-        assert operator.digest() == snapshot_digest(batch)
+        assert_chunk_invariant("device_type", seed, [size])
+
+    def test_country_matches_study_artifact(self, seed, size):
+        assert_chunk_invariant("country", seed, [size])
 
     def test_country_unfiltered(self, seed, size):
         results = study_results(seed)
         operator = CountryOperator(results.geo)
-        feed_chunked(operator, scan_rows(results), size)
-        batch = country_distribution_of(results.merged_db, results.geo)
-        assert operator.snapshot() == batch
-
-    def test_country_matches_study_artifact(self, seed, size):
-        results = study_results(seed)
-        operator = CountryOperator(
-            results.geo, exclude_addresses=results.fingerprints.addresses()
+        feed_in_chunks(operator, rows_of(seed, "scan"), [size])
+        assert operator.snapshot() == country_distribution_of(
+            results.merged_db, results.geo
         )
-        feed_chunked(operator, scan_rows(results), size)
-        assert operator.snapshot() == results.countries
 
     def test_attack_origins(self, seed, size):
-        results = study_results(seed)
-        operator = AttackOriginsOperator(results.geo, results.exonerator)
-        feed_chunked(operator, attack_rows(results), size)
-        snapshot = operator.snapshot()
-        assert snapshot["dos_origins"] == dos_origin_countries(
-            results.schedule.log, results.geo
-        )
-        assert snapshot["tor"] == analyze_tor_sources(
-            results.schedule.log, results.exonerator
-        )
+        assert_chunk_invariant("attack_origins", seed, [size])
 
     def test_recurrence(self, seed, size):
-        results = study_results(seed)
-        operator = RecurrenceOperator()
-        feed_chunked(operator, attack_rows(results), size)
-        classifier = RecurrenceClassifier()
-        log = results.schedule.log
-        recurring, one_time = classifier.classify(log)
-        snapshot = operator.snapshot()
-        assert snapshot["patterns"] == classifier.patterns(log)
-        assert snapshot["recurring"] == recurring
-        assert snapshot["one_time"] == one_time
+        assert_chunk_invariant("recurrence", seed, [size])
 
     def test_rsdos(self, seed, size):
-        results = study_results(seed)
-        operator = RsdosOperator()
-        feed_chunked(operator, flow_rows(results), size)
-        batch = detect_rsdos(results.telescope.writer.records())
-        assert operator.snapshot() == batch
-        assert operator.digest() == snapshot_digest(batch)
-
-
-# ---------------------------------------------------------------------------
-# Irregular chunk boundaries (hypothesis)
-# ---------------------------------------------------------------------------
-
-
-def feed_boundaries(operator: Operator, rows, cuts) -> None:
-    """Feed ``rows`` split at the (sorted, deduped) cut positions."""
-    boundaries = sorted({cut % (len(rows) + 1) for cut in cuts})
-    previous = 0
-    for boundary in boundaries:
-        operator.feed(rows[previous:boundary])
-        previous = boundary
-    operator.feed(rows[previous:])
-
-
-@BOTH_SEEDS
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cuts=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12))
-def test_misconfig_any_boundaries(seed, cuts):
-    results = study_results(seed)
-    exclude = results.fingerprints.addresses()
-    operator = MisconfigOperator(exclude_addresses=exclude)
-    feed_boundaries(operator, scan_rows(results), cuts)
-    assert operator.snapshot() == classify_database(
-        results.merged_db, exclude_addresses=exclude
-    )
-
-
-@BOTH_SEEDS
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cuts=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12))
-def test_attack_origins_any_boundaries(seed, cuts):
-    results = study_results(seed)
-    operator = AttackOriginsOperator(results.geo, results.exonerator)
-    feed_boundaries(operator, attack_rows(results), cuts)
-    assert operator.digest() == snapshot_digest({
-        "dos_origins": dos_origin_countries(results.schedule.log, results.geo),
-        "tor": analyze_tor_sources(results.schedule.log, results.exonerator),
-    })
-
-
-@BOTH_SEEDS
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cuts=st.lists(st.integers(min_value=0, max_value=10**6), max_size=8))
-def test_rsdos_any_boundaries(seed, cuts):
-    results = study_results(seed)
-    operator = RsdosOperator()
-    feed_boundaries(operator, flow_rows(results), cuts)
-    assert operator.snapshot() == detect_rsdos(
-        results.telescope.writer.records()
-    )
+        assert_chunk_invariant("rsdos", seed, [size])
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +190,9 @@ class TestOperatorLifecycle:
             assert isinstance(operator, Operator)
 
     def test_feed_counts(self):
-        results = study_results(7)
-        rows = scan_rows(results)
+        rows = rows_of(7, "scan")
         operator = MisconfigOperator()
-        feed_chunked(operator, rows, 100)
+        feed_in_chunks(operator, rows, [100])
         assert operator.rows_fed == len(rows)
         assert operator.batches_fed == (len(rows) + 99) // 100
         assert operator.seconds >= 0.0
