@@ -49,7 +49,6 @@ from repro.attacks.actors import ActorRegistry, SourceInfo
 from repro.attacks.malware import MalwareCorpus, TaskCorpusView
 from repro.attacks.payloads import build_payloads
 from repro.attacks.scanning_services import SCANNING_SERVICES, ScanningService
-from repro.core.columns import BACKENDS
 from repro.core.scaling import apportion, scale_count
 from repro.core.tasks import (
     EXECUTORS,
@@ -218,10 +217,6 @@ class AttackScheduleConfig:
     #: :func:`~repro.core.tasks.resolve_executor`).  All executors are
     #: byte-identical, so the knob is excluded from equality/fingerprints.
     executor: Optional[str] = field(default=None, compare=False)
-    #: Column backend for the event log (``None`` inherits the study-level
-    #: choice).  Both backends are byte-identical, so the knob is excluded
-    #: from equality/fingerprints like ``workers``.
-    backend: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -238,11 +233,6 @@ class AttackScheduleConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKENDS)}; "
-                f"got {self.backend!r}"
-            )
         if self.executor is not None and self.executor not in EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {', '.join(EXECUTORS)}; "
@@ -1474,13 +1464,12 @@ def _drive_udp_batch(
                 reply = handle(item, open_session(peer=src))
                 exchanges.append((item, reply.data if reply.data else b""))
             continue
-        verdicts = [
-            draw < rate
-            for draw in keyed_uniform_array(
+        verdicts = (
+            keyed_uniform_array(
                 seed, name, count, src, dst, port, "udp", day, start=first
-            )
-        ]
-        survivors = count - int(sum(verdicts))
+            ) < rate
+        ).tolist()
+        survivors = count - sum(verdicts)
         replies = iter(
             server.handle_repeat_datagrams(item, survivors, peer=src)
             if survivors

@@ -40,14 +40,10 @@ every K, with per-task timings in the metrics), ``--executor
 striped chunks out to worker processes for the months and scan shards,
 byte-identical to ``serial``; ``auto``, the default, picks ``process``
 when there is more than one worker and more than one core),
-``--backend
-{python,numpy,auto}`` (column backend for the three plane stores —
-``numpy`` batch-draws and vectorizes the hot loops, byte-identical to
-``python``; ``auto``, the default, picks numpy when the optional
-dependency is importable), ``--cache-dir PATH`` (persistent on-disk phase
-cache shared across invocations), ``--no-cache``, and ``--metrics-json
-PATH`` (per-phase wall time, cache hits, shard/task timings, store
-backends and throughput as JSON, for scripted campaigns).
+``--cache-dir PATH`` (persistent on-disk phase cache shared across
+invocations), ``--no-cache``, and ``--metrics-json PATH`` (per-phase
+wall time, cache hits, shard/task timings, store batch counts and
+throughput as JSON, for scripted campaigns).
 
 Robustness knobs (all byte-identity preserving):
 
@@ -104,7 +100,6 @@ from typing import List, Optional
 from repro import Study, StudyConfig, __version__
 from repro.attacks.schedule import AttackScheduleConfig
 from repro.core import faults
-from repro.core.columns import resolve_backend
 from repro.core.engine import PhaseCache
 from repro.core.faults import FaultPlan
 from repro.core.report import (
@@ -182,13 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "worker processes (byte-identical output), "
                               "'serial' runs them inline, "
                               "'auto' (default) picks per machine")
-        sub.add_argument("--backend", default="auto",
-                         metavar="{python,numpy,auto}",
-                         help="column backend for the plane stores: "
-                              "'numpy' vectorizes the hot loops "
-                              "(byte-identical output), 'python' forces "
-                              "the pure-Python oracle, 'auto' (default) "
-                              "picks numpy when importable")
         sub.add_argument("--no-cache", action="store_true",
                          help="disable phase-artifact memoization")
         sub.add_argument("--cache-dir", metavar="PATH", default="",
@@ -464,22 +452,13 @@ def _config(args) -> StudyConfig:
         config.task_deadline = args.task_deadline
     executor = getattr(args, "executor", "auto")
     if executor != "auto":
-        # Like --backend below: no argparse `choices`, so an unknown
-        # value surfaces as the typed ConfigError -> exit code 2 from
-        # the final validate().  Sub-configs inherited the study default
-        # at construction, so stamp them directly.
+        # No argparse `choices`, so an unknown value surfaces as the
+        # typed ConfigError -> exit code 2 from the final validate().
+        # Sub-configs inherited the study default at construction, so
+        # stamp them directly.
         config.executor = executor
         for sub in (config.scan, config.attacks, config.telescope):
             sub.executor = executor
-    backend = getattr(args, "backend", "auto")
-    if backend != "auto":
-        # Not an argparse `choices` list on purpose: an unknown value (or
-        # an explicit numpy without the dependency) surfaces as the typed
-        # ConfigError -> exit code 2, like every other config mistake.
-        resolve_backend(backend)
-        config.backend = backend
-        for sub in (config.scan, config.attacks, config.telescope):
-            sub.backend = backend
     config.validate()  # ConfigError -> exit code 2
     return config
 

@@ -1,4 +1,4 @@
-"""Backend-pluggable column primitives and the unified ColumnStore API.
+"""Column primitives and the unified ColumnStore API.
 
 The three measurement-plane stores — the scan plane's
 :class:`~repro.scanner.records.ScanDatabase`, the attack plane's
@@ -6,17 +6,11 @@ The three measurement-plane stores — the scan plane's
 :class:`~repro.telescope.flowtuple.FlowTupleWriter` — all keep their data
 as parallel columns.  This module is the layer underneath them:
 
-* **column primitives** behind one sequence-shaped API
-  (:func:`make_numeric_column` / :func:`make_object_column`): the pure-Python
-  backend stores numerics in compact :mod:`array` columns exactly as before,
-  the NumPy backend in growable typed buffers (:class:`NumpyColumn`) whose
-  ``view()`` exposes a contiguous ``ndarray`` for masked filters, grouped
-  counts and ``lexsort``-based canonical ordering;
-* **backend selection** (:func:`resolve_backend`): ``"python"``,
-  ``"numpy"`` or ``"auto"``; NumPy is an *optional* dependency, so
-  ``"auto"`` degrades to pure Python when it is missing and an explicit
-  ``"numpy"`` without the package is a :class:`~repro.net.errors.ConfigError`
-  (the CLI's exit-code-2 path);
+* **column primitives** (:func:`make_numeric_column` /
+  :func:`make_object_column`): numerics live in growable typed NumPy
+  buffers (:class:`NumpyColumn`) whose ``view()`` exposes a contiguous
+  ``ndarray`` for masked filters, grouped counts and ``lexsort``-based
+  canonical ordering; labels, enums and byte payloads in plain lists;
 * the :class:`ColumnStore` protocol the analysis consumers type against
   (``where`` / ``count_by`` / ``iter_rows`` / ``sorted_canonical`` /
   ``append_batch``), so they depend on the query surface rather than on a
@@ -24,18 +18,20 @@ as parallel columns.  This module is the layer underneath them:
 * the shared :func:`_warn_deprecated` helper behind every deprecation shim,
   so removal releases are announced uniformly.
 
-**Determinism contract.**  Both backends produce byte-identical artifacts:
-numeric columns hand back native Python scalars (``NumpyColumn.__getitem__``
-unboxes via ``.item()``), ``lexsort`` is stable like Python's ``sorted``,
-and the batch PRNG draws (:meth:`~repro.net.prng.RandomStream.uniform_array`)
-are bit-equal to sequential scalar draws.  The pure-Python paths therefore
-stay live as differential oracles for the vectorized ones.
+**Determinism contract.**  The vector paths produce the bytes a
+row-by-row recomputation would: numeric columns hand back native Python
+scalars (``NumpyColumn.__getitem__`` unboxes via ``.item()``),
+``lexsort`` is stable like Python's ``sorted``, grouped counts keep
+first-occurrence order, and the batch PRNG draws
+(:meth:`~repro.net.prng.RandomStream.uniform_array`) are bit-equal to
+sequential scalar draws.  ``tests/test_columns.py`` checks each vector
+path against such a recomputation, and ``tests/plane_goldens.json`` pins
+the stores' bytes.
 """
 
 from __future__ import annotations
 
 import warnings
-from array import array
 from typing import (
     Any,
     Dict,
@@ -46,32 +42,14 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.net.errors import ConfigError
-
-try:  # NumPy is optional: the reproduction must run on a bare interpreter.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less CI
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 __all__ = [
-    "BACKENDS",
     "ColumnStore",
-    "HAVE_NUMPY",
     "NumpyColumn",
     "make_numeric_column",
     "make_object_column",
-    "numpy_available",
-    "resolve_backend",
 ]
-
-#: Accepted ``backend`` knob values, in documentation order.
-BACKENDS = ("python", "numpy", "auto")
-
-#: Whether the optional NumPy dependency imported.
-HAVE_NUMPY = np is not None
-
-#: Column kind → compact ``array`` typecode (the pure-Python storage).
-_PY_TYPECODES = {"u64": "Q", "u32": "L", "i64": "q", "f64": "d"}
 
 #: Column kind → NumPy dtype.  Unsigned kinds map to ``int64``: every
 #: stored value (IPv4 address, port, byte count) fits comfortably, and
@@ -79,48 +57,18 @@ _PY_TYPECODES = {"u64": "Q", "u32": "L", "i64": "q", "f64": "d"}
 _NP_DTYPES = {"u64": "int64", "u32": "int64", "i64": "int64", "f64": "float64"}
 
 
-def numpy_available() -> bool:
-    """Whether the ``numpy`` backend can actually be selected."""
-    return HAVE_NUMPY
-
-
-def resolve_backend(choice: Optional[str]) -> str:
-    """Collapse a backend knob to the concrete ``"python"`` or ``"numpy"``.
-
-    ``None`` is the sub-config inherit-sentinel and means ``"auto"``;
-    ``"auto"`` picks NumPy when it is importable and pure Python otherwise.
-    An unknown value, or an explicit ``"numpy"`` without the optional
-    dependency installed, raises :class:`~repro.net.errors.ConfigError`
-    (the CLI maps it to exit code 2).
-    """
-    if choice is None:
-        choice = "auto"
-    if choice not in BACKENDS:
-        raise ConfigError(
-            f"backend must be one of {', '.join(BACKENDS)}; got {choice!r}"
-        )
-    if choice == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    if choice == "numpy" and not HAVE_NUMPY:
-        raise ConfigError(
-            "backend 'numpy' requires the optional numpy dependency "
-            "(install the 'numpy' extra); use 'python' or 'auto' instead"
-        )
-    return choice
-
-
 class NumpyColumn:
     """A growable typed column over a NumPy buffer.
 
-    Mirrors the mutable-sequence surface of the ``array`` columns it
-    replaces — ``append`` / ``extend`` / indexing (negative indexes
-    included) / iteration — so row views and legacy call sites work
-    unchanged, while :meth:`view` exposes the live ``ndarray`` prefix for
-    vectorized masks, grouped counts and ``lexsort``.
+    Offers a mutable-sequence surface — ``append`` / ``extend`` /
+    indexing (negative indexes included) / iteration — so row views read
+    and write through it, while :meth:`view` exposes the live ``ndarray``
+    prefix for vectorized masks, grouped counts and ``lexsort``.
 
     ``__getitem__`` unboxes to native Python scalars: everything read out
     of a column serializes (``json``, string formatting) exactly like the
-    pure-Python backend, which is half of the byte-identity contract.
+    plain ``int``/``float`` it stores, which is half of the determinism
+    contract.
     """
 
     __slots__ = ("_data", "_n")
@@ -200,31 +148,25 @@ class NumpyColumn:
 
 
 def make_numeric_column(
-    kind: str, backend: str, values: Optional[Iterable[Any]] = None
-):
-    """A numeric column of ``kind`` (``u64``/``u32``/``i64``/``f64``).
-
-    The pure-Python backend returns a compact :class:`array.array` (exactly
-    the pre-backend storage); the NumPy backend a :class:`NumpyColumn`.
-    """
-    if backend == "numpy":
-        return NumpyColumn(_NP_DTYPES[kind], values)
-    return array(_PY_TYPECODES[kind], values or ())
+    kind: str, values: Optional[Iterable[Any]] = None
+) -> NumpyColumn:
+    """A numeric column of ``kind`` (``u64``/``u32``/``i64``/``f64``)."""
+    return NumpyColumn(_NP_DTYPES[kind], values)
 
 
 def make_object_column(values: Optional[Iterable[Any]] = None) -> list:
-    """An object column (labels, enums, byte payloads) — a plain list on
-    both backends; vector passes over object columns gain nothing from
-    NumPy's object dtype."""
+    """An object column (labels, enums, byte payloads) — a plain list;
+    vector passes over object columns gain nothing from NumPy's object
+    dtype."""
     return list(values) if values is not None else []
 
 
 def first_occurrence_counts(view) -> Dict[Any, int]:
     """Grouped counts of a numeric ``ndarray`` in first-occurrence order.
 
-    The vectorized twin of the ``dict.get`` counting loop: the result dict
-    is keyed in the order values first appear, exactly as the pure-Python
-    path builds it, so serialized artifacts stay byte-identical.
+    Equal to a ``dict.get`` counting loop over the values: the result
+    dict is keyed in the order values first appear, so serialized
+    artifacts do not depend on how the counts were computed.
     """
     uniques, first_positions, counts = np.unique(
         view, return_index=True, return_counts=True
@@ -242,7 +184,7 @@ class ColumnStore(Protocol):
     Analysis consumers (misconfig, country, device type, attack origins,
     recurrence, RSDoS) accept any store satisfying this protocol instead of
     importing a concrete store class.  ``where`` narrows to a new store of
-    the same backend, ``count_by`` groups with optional distinct-value
+    the same type, ``count_by`` groups with optional distinct-value
     counting, ``iter_rows`` yields row views in insertion order,
     ``sorted_canonical`` re-orders into the plane's canonical merge order
     and ``append_batch`` ingests many rows in one columnar pass.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.attacks.schedule import AttackScheduleConfig
-from repro.core.columns import BACKENDS, _warn_deprecated
+from repro.core.columns import _warn_deprecated
 from repro.core.tasks import EXECUTORS
 from repro.internet.population import PopulationConfig
 from repro.net.compat import DATACLASS_KW_ONLY
@@ -74,12 +74,6 @@ class StudyConfig:
     #: fault.  ``None`` disables supervision.  Excluded from the
     #: fingerprint: deadlines change scheduling, never output bytes.
     task_deadline: Optional[str] = field(default=None, compare=False)
-    #: Column backend for the three plane stores: ``"python"``,
-    #: ``"numpy"``, or ``"auto"`` (NumPy when importable).  Stamped over
-    #: every sub-config left at the ``None`` inherit-sentinel.  Both
-    #: backends produce byte-identical artifacts, so the knob is excluded
-    #: from equality/fingerprints like the other deployment knobs.
-    backend: str = field(default="auto", compare=False)
     #: Task executor for the three sharded planes: ``"serial"``,
     #: ``"process"`` (true multi-core; sidesteps the GIL), or ``"auto"``
     #: (process when more than one worker AND more than one core are
@@ -116,10 +110,8 @@ class StudyConfig:
                     removal="2.0",
                     stacklevel=4,
                 )
-        # Same inherit rule for the column backend and the task executor.
+        # Same inherit rule for the task executor.
         for sub in (self.scan, self.attacks, self.telescope):
-            if getattr(sub, "backend", "") is None:
-                sub.backend = self.backend
             if getattr(sub, "executor", "") is None:
                 sub.executor = self.executor
 
@@ -141,11 +133,6 @@ class StudyConfig:
             raise ConfigError(
                 "resume=True requires journal_dir (the per-task completion "
                 "journal a resumed run replays)"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKENDS)}; "
-                f"got {self.backend!r}"
             )
         if self.executor not in EXECUTORS:
             raise ConfigError(

@@ -65,7 +65,6 @@ from repro.core.integrity import (
     unwrap_envelope,
     wrap_envelope,
 )
-from repro.core.columns import resolve_backend
 from repro.core.metrics import PhaseMetric, StudyMetrics
 from repro.core.tasks import TaskDeadline, TaskJournal
 from repro.net.errors import (
@@ -89,7 +88,10 @@ __all__ = [
 #: Bumped whenever phase semantics change, so stale disk caches self-expire.
 #: Version 2: disk entries are checksummed :mod:`repro.core.integrity`
 #: envelopes instead of bare header dicts.
-ENGINE_SCHEMA_VERSION = 2
+#: Version 3: every plane store holds NumPy-backed numeric columns; a
+#: version-2 entry may hold the ``array`` columns the stores no longer
+#: query, so it must miss.
+ENGINE_SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +511,7 @@ class StudyEngine:
             self.cache = cache
         self.graph = graph or build_study_graph(self.config)
         self.fingerprint = config_fingerprint(self.config)
-        self.metrics = StudyMetrics(
-            backend=resolve_backend(getattr(self.config, "backend", None)),
-        )
+        self.metrics = StudyMetrics()
         self._artifacts: Dict[str, object] = {}
         self._done: set = set()
         self._degraded: set = set()
@@ -793,9 +793,7 @@ def _phase_attacks(engine: StudyEngine) -> Dict[str, object]:
     from repro.honeypots.deployment import build_deployment
 
     population = engine.artifact("population")
-    deployment = build_deployment(
-        backend=resolve_backend(engine.config.attacks.backend)
-    )
+    deployment = build_deployment()
     if engine.config.capture_pcap:
         for honeypot in deployment.honeypots:
             honeypot.enable_pcap()

@@ -111,22 +111,19 @@ class JournalMetric:
 
 @dataclass
 class StoreMetric:
-    """One plane store's column-backend accounting for a run.
+    """One plane store's batch accounting for a run.
 
-    Distinguishes python from numpy runs in ``--metrics-json``: which
-    backend the store resolved to, how many columnar batch ingests it
+    Shows in ``--metrics-json`` how many columnar batch ingests the store
     served (``append_batch`` / block filings) and how many rows it holds.
     """
 
     plane: str
-    backend: str
     batch_appends: int = 0
     rows: int = 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "plane": self.plane,
-            "backend": self.backend,
             "batch_appends": self.batch_appends,
             "rows": self.rows,
         }
@@ -264,8 +261,6 @@ class BusMetric:
 class StudyMetrics:
     """Everything one engine run measured, in execution order."""
 
-    #: The study-level resolved column backend ("python" or "numpy").
-    backend: str = "python"
     phases: List[PhaseMetric] = field(default_factory=list)
     #: Per-(protocol, shard) scan timings from sharded campaigns.
     shards: List[ShardTiming] = field(default_factory=list)
@@ -280,7 +275,7 @@ class StudyMetrics:
     quarantined: List[QuarantineRecord] = field(default_factory=list)
     #: Soft-deadline overruns observed by task supervision.
     stalls: List[TaskStall] = field(default_factory=list)
-    #: Per-plane store backend/batch accounting, one row per plane store.
+    #: Per-plane store batch accounting, one row per plane store.
     stores: List[StoreMetric] = field(default_factory=list)
     #: Streaming-operator feed accounting, one row per registered
     #: operator of a campaign-service run.
@@ -335,15 +330,14 @@ class StudyMetrics:
         self.quarantined.extend(records)
 
     def record_store(self, plane: str, store: object) -> None:
-        """Fold one plane store's backend/batch accounting into the run.
+        """Fold one plane store's batch accounting into the run.
 
         Works on anything shaped like a
-        :class:`~repro.core.columns.ColumnStore` with the ``backend`` /
-        ``batch_appends`` attributes the three plane stores carry.
+        :class:`~repro.core.columns.ColumnStore` with the
+        ``batch_appends`` attribute the three plane stores carry.
         """
         self.stores.append(StoreMetric(
             plane=plane,
-            backend=getattr(store, "backend", "python"),
             batch_appends=getattr(store, "batch_appends", 0),
             rows=len(store),  # type: ignore[arg-type]
         ))
@@ -455,14 +449,13 @@ class StudyMetrics:
         """Compact operator-facing roll-up of this run.
 
         The shape the orchestrator's ``GET /campaigns/<id>/status`` and
-        ``GET /queue`` documents embed: scalar totals only — backend
-        identity, wall clock, cache traffic, journal replay totals,
-        supervisor interventions, stalls, quarantine and bus counts —
-        never the per-task row lists ``to_dict()`` carries,
-        which would bloat a status poll with thousands of timing rows.
+        ``GET /queue`` documents embed: scalar totals only — wall clock,
+        cache traffic, journal replay totals, supervisor interventions,
+        stalls, quarantine and bus counts — never the per-task row lists
+        ``to_dict()`` carries, which would bloat a status poll with
+        thousands of timing rows.
         """
         return {
-            "backend": self.backend,
             "wall_seconds": round(self.wall_seconds, 6),
             "cache_hits": self.cache_hits,
             "cache_disk_hits": sum(
@@ -488,7 +481,6 @@ class StudyMetrics:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
             "wall_seconds": round(self.wall_seconds, 6),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -537,14 +529,14 @@ class StudyMetrics:
             )
         lines.append(
             f"total {self.wall_seconds:.3f}s over {len(self.phases)} phases "
-            f"({self.cache_hits} cached), {self.backend} columns"
+            f"({self.cache_hits} cached)"
         )
         if self.stores:
             lines.append(
                 "stores: "
                 + "; ".join(
-                    f"{store.plane} {store.backend} "
-                    f"({store.rows:,} rows, {store.batch_appends} batches)"
+                    f"{store.plane} ({store.rows:,} rows, "
+                    f"{store.batch_appends} batches)"
                     for store in self.stores
                 )
             )

@@ -190,15 +190,10 @@ def _dionaea(log: EventLog) -> LabHoneypot:
     )
 
 
-def build_deployment(
-    log: Optional[EventLog] = None, *, backend: Optional[str] = None
-) -> HoneypotDeployment:
-    """Construct the full six-honeypot lab sharing one event log.
-
-    ``backend`` picks the shared log's column backend when no explicit
-    ``log`` is passed (``None`` keeps the pure-Python default)."""
+def build_deployment(log: Optional[EventLog] = None) -> HoneypotDeployment:
+    """Construct the full six-honeypot lab sharing one event log."""
     if log is None:
-        log = EventLog(backend=backend if backend is not None else "python")
+        log = EventLog()
     honeypots: List[LabHoneypot] = [
         _hostage(log), _upot(log), _conpot(log),
         _thingpot(log), _cowrie(log), _dionaea(log),

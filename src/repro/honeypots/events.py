@@ -6,12 +6,12 @@ database; :class:`EventStore` is the store with the aggregation surface that
 Tables 7/8 and Figures 3/4/7/8/9 query.
 
 Storage is *columnar*, mirroring :class:`~repro.scanner.records.ScanDatabase`
-on the scan plane: parallel ``array`` columns for the numeric fields, lists
-for the labels, and lightweight slotted :class:`EventRow` views that read
-and write straight through to the columns.  On top of the columns the store
-keeps per-honeypot / per-protocol / per-source **indexes** (position lists)
-that are built once on first use and invalidated on append, so the ~8
-analysis consumers stop paying a full O(n) scan per query.
+on the scan plane: parallel NumPy-backed columns for the numeric fields,
+lists for the labels, and lightweight slotted :class:`EventRow` views that
+read and write straight through to the columns.  On top of the columns the
+store keeps per-honeypot / per-protocol / per-source **indexes** (position
+lists) that are built once on first use and invalidated on append, so the
+~8 analysis consumers stop paying a full O(n) scan per query.
 
 The query surface:
 
@@ -24,11 +24,11 @@ The query surface:
 * :meth:`EventStore.iter_rows` / :meth:`EventStore.column` — row views and
   raw column access for tight loops.
 
-Columns come from :mod:`repro.core.columns` and are backend-pluggable:
-``EventStore(backend="numpy")`` stores the numeric fields in growable
-NumPy buffers and serves ``where``/``count_by``/``sorted_canonical`` from
-masks, ``np.unique`` groups and a stable ``lexsort`` — byte-identical to
-the pure-Python paths, which stay live as the differential oracle.
+Numeric filters in ``where``, numeric ``count_by`` keys and
+``sorted_canonical`` run as boolean masks, ``np.unique`` groups and a
+stable ``lexsort`` over the :mod:`repro.core.columns` buffers, and hand
+back native Python scalars, so serialized artifacts match a row-by-row
+recomputation.
 
 ``EventLog`` survives as an alias and ``.events`` as a deprecated property
 so external one-liners keep working for one release cycle.
@@ -51,14 +51,14 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.columns import (
     NumpyColumn,
     _warn_deprecated,
     first_occurrence_counts,
     make_numeric_column,
     make_object_column,
-    np as _np,
-    resolve_backend,
 )
 from repro.core.taxonomy import AttackType
 from repro.net.ipv4 import int_to_ip
@@ -303,24 +303,20 @@ class EventStore:
     def __init__(
         self,
         events: Optional[Iterable[Any]] = None,
-        *,
-        backend: str = "python",
     ) -> None:
-        #: Resolved column backend: ``"python"`` or ``"numpy"``.
-        self.backend = resolve_backend(backend)
         #: Batched ingestions performed (one per :meth:`append_batch`);
         #: surfaced through ``StudyMetrics`` for ``--metrics-json``.
         self.batch_appends = 0
         self._honeypots: List[str] = make_object_column()
         self._protocols: List[ProtocolId] = make_object_column()
-        self._sources = make_numeric_column("u64", self.backend)
-        self._days = make_numeric_column("i64", self.backend)
-        self._timestamps = make_numeric_column("f64", self.backend)
+        self._sources = make_numeric_column("u64")
+        self._days = make_numeric_column("i64")
+        self._timestamps = make_numeric_column("f64")
         self._attack_types: List[AttackType] = make_object_column()
         self._actors: List[str] = make_object_column()
         self._summaries: List[str] = make_object_column()
         self._malware_hashes: List[str] = make_object_column()
-        self._request_bytes = make_numeric_column("u64", self.backend)
+        self._request_bytes = make_numeric_column("u64")
         # position indexes, built once on demand and dropped on append
         self._by_honeypot: Optional[Dict[str, List[int]]] = None
         self._by_protocol: Optional[Dict[ProtocolId, List[int]]] = None
@@ -420,8 +416,8 @@ class EventStore:
         in one columnar pass.
 
         The attack scheduler's canonical merge feeds its sorted rows
-        through here — one ``extend`` per column (a single buffer copy on
-        the NumPy backend) instead of one ``append_event`` per row.
+        through here — one ``extend`` per column (a single buffer copy for
+        the numeric columns) instead of one ``append_event`` per row.
         Returns the row count.
         """
         if not isinstance(rows, list):
@@ -468,8 +464,9 @@ class EventStore:
         ``name`` is a field name: ``"honeypot"``, ``"protocol"``,
         ``"source"``, ``"day"``, ``"timestamp"``, ``"attack_type"``,
         ``"actor"``, ``"summary"``, ``"malware_hash"`` or
-        ``"request_bytes"``.  Numeric columns come back as compact
-        ``array`` objects — ideal for set-building and vector passes.
+        ``"request_bytes"``.  Numeric columns come back as
+        :class:`~repro.core.columns.NumpyColumn` objects whose ``view()``
+        is the live ``ndarray``; label columns as lists.
         """
         if name not in _FIELDS:
             raise KeyError(f"no such column: {name!r}")
@@ -550,27 +547,23 @@ class EventStore:
         position indexes.  ``predicate`` is an escape hatch receiving
         each :class:`EventRow`.
 
-        On the NumPy backend, when no position index applies, the numeric
-        filters (``source``, ``day``) collapse to one boolean mask over
-        the columns before any row view is built; surviving positions run
-        the object filters row-wise, preserving selection and order.
+        When no position index applies, the numeric filters (``source``,
+        ``day``) collapse to one boolean mask over the columns before any
+        row view is built; surviving positions run the object filters
+        row-wise, in insertion order.
         """
         positions = self._candidates(honeypot, protocol, source)
-        if (
-            positions is None
-            and self.backend == "numpy"
-            and (source is not None or day is not None)
-        ):
-            mask = _np.ones(len(self._sources), dtype=bool)
+        if positions is None and (source is not None or day is not None):
+            mask = np.ones(len(self._sources), dtype=bool)
             for column, value in ((self._sources, source), (self._days, day)):
                 if value is None:
                     continue
                 view = column.view()
                 if isinstance(value, _COLLECTIONS):
-                    mask &= _np.isin(view, list(value))
+                    mask &= np.isin(view, list(value))
                 else:
                     mask &= view == value
-            positions = _np.nonzero(mask)[0].tolist()
+            positions = np.nonzero(mask)[0].tolist()
             source = day = None  # already applied vectorized
         tests: List[Callable[[EventRow], bool]] = []
         for name, value in (
@@ -588,7 +581,7 @@ class EventStore:
             tests.append(predicate)
         if positions is None:
             positions = range(len(self._sources))  # type: ignore[assignment]
-        selected = EventStore(backend=self.backend)
+        selected = EventStore()
         for index in positions:
             row = EventRow(self, index)
             if all(test(row) for test in tests):
@@ -604,9 +597,9 @@ class EventStore:
         ``log.count_by("protocol", unique="source")`` counts *distinct
         sources* per protocol — Table 7's second matrix unit.
 
-        Numeric key columns on the NumPy backend group via ``np.unique``
-        in first-occurrence order (matching the pure-Python dict order);
-        object columns keep the Python loop.
+        Numeric key columns group via ``np.unique`` in first-occurrence
+        order (the dict-insertion order of a counting loop); object
+        columns keep the Python loop.
         """
         keys = self.column(column)
         if unique is None:
@@ -688,9 +681,7 @@ class EventStore:
     ) -> Set[int]:
         """Distinct source addresses, optionally filtered (index-backed)."""
         if honeypot is None and protocol is None:
-            if isinstance(self._sources, NumpyColumn):
-                return set(_np.unique(self._sources.view()).tolist())
-            return set(self._sources)
+            return set(np.unique(self._sources.view()).tolist())
         self._ensure_indexes()
         sources = self._sources
         if honeypot is None:
@@ -738,24 +729,15 @@ class EventStore:
         """Distinct captured malware hashes (Table 13's corpus)."""
         return {digest for digest in self._malware_hashes if digest}
 
-    def _take(self, order: Iterable[int]) -> "EventStore":
+    def _take(self, order: np.ndarray) -> "EventStore":
         """New store with rows re-ordered by ``order`` positions
         (NumPy fancy-indexing on numeric columns, list picks on objects)."""
-        result = EventStore(backend=self.backend)
-        if isinstance(self._sources, NumpyColumn):
-            result._sources = self._sources.take(order)
-            result._days = self._days.take(order)
-            result._timestamps = self._timestamps.take(order)
-            result._request_bytes = self._request_bytes.take(order)
-            picks = order.tolist() if hasattr(order, "tolist") else list(order)
-        else:
-            picks = list(order)
-            result._sources.extend(self._sources[i] for i in picks)
-            result._days.extend(self._days[i] for i in picks)
-            result._timestamps.extend(self._timestamps[i] for i in picks)
-            result._request_bytes.extend(
-                self._request_bytes[i] for i in picks
-            )
+        result = EventStore()
+        result._sources = self._sources.take(order)
+        result._days = self._days.take(order)
+        result._timestamps = self._timestamps.take(order)
+        result._request_bytes = self._request_bytes.take(order)
+        picks = order.tolist()
         result._honeypots = [self._honeypots[i] for i in picks]
         result._protocols = [self._protocols[i] for i in picks]
         result._attack_types = [self._attack_types[i] for i in picks]
@@ -769,34 +751,20 @@ class EventStore:
         the order sharded attack months merge into, making worker count
         (and task execution order generally) unobservable.
 
-        The NumPy backend sorts with a stable ``lexsort`` over the columns
-        (honeypot and protocol compare as strings, exactly as the tuple
-        key compares them), producing the same permutation as the
-        pure-Python sort.
+        A stable ``lexsort`` over the columns (honeypot and protocol
+        compare as strings) — the same permutation as a stable sort on the
+        ``(timestamp, source, honeypot, str(protocol))`` tuple key.
         """
-        if isinstance(self._sources, NumpyColumn) and len(self._sources):
-            honeypots = _np.array(self._honeypots)
-            protocols = _np.array([str(p) for p in self._protocols])
-            order = _np.lexsort((
-                protocols,
-                honeypots,
-                self._sources.view(),
-                self._timestamps.view(),
-            ))
-            return self._take(order)
-        timestamps, sources, honeypots = (
-            self._timestamps, self._sources, self._honeypots
-        )
-        protocols = self._protocols
-        order = sorted(
-            range(len(sources)),
-            key=lambda index: (
-                timestamps[index],
-                sources[index],
-                honeypots[index],
-                str(protocols[index]),
-            ),
-        )
+        if not len(self._sources):
+            return EventStore()
+        honeypots = np.array(self._honeypots)
+        protocols = np.array([str(p) for p in self._protocols])
+        order = np.lexsort((
+            protocols,
+            honeypots,
+            self._sources.view(),
+            self._timestamps.view(),
+        ))
         return self._take(order)
 
     # -- persistence (the daily export of §3.3.2) -------------------------

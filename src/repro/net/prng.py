@@ -37,10 +37,7 @@ from bisect import bisect
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, TypeVar, Union
 
-try:  # NumPy is optional; batch draws fall back to scalar loops without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less CI
-    _np = None  # type: ignore[assignment]
+import numpy as np
 
 T = TypeVar("T")
 KeyPart = Union[int, str]
@@ -139,10 +136,10 @@ def keyed_uniform(seed: Optional[int], name: str, *key: KeyPart) -> float:
 def _splitmix64_array(values):
     """Vectorized :func:`splitmix64` over a ``uint64`` ndarray (wrapping
     arithmetic stands in for the scalar path's ``& _MASK64``)."""
-    values = values + _np.uint64(0x9E3779B97F4A7C15)
-    z = (values ^ (values >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _np.uint64(27))) * _np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> _np.uint64(31))
+    values = values + np.uint64(0x9E3779B97F4A7C15)
+    z = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def keyed_uniform_array(
@@ -155,24 +152,25 @@ def keyed_uniform_array(
     keyed draw per item of an indexed collection.  ``start`` offsets the
     trailing index key part, so a consumer that has already spent the
     first ``k`` draws of a flow (e.g. per-attempt loss verdicts) can
-    batch the remainder without re-deriving the spent prefix.  With
-    NumPy available the SplitMix64 mix runs vectorized over ``uint64``
-    arrays and the result is a ``float64`` ndarray; otherwise a list
-    from the scalar fallback.  Both spell out the same IEEE doubles.
+    batch the remainder without re-deriving the spent prefix.  The
+    result is a ``float64`` ndarray: for large ``n`` the SplitMix64 mix
+    runs vectorized over ``uint64`` arrays, for small ``n`` a scalar
+    loop is cheaper.  Both spell out the same IEEE doubles.
     """
-    if _np is None or n < _BATCH_MIN:
-        return [
-            keyed_uniform(seed, name, *key, i)
-            for i in range(start, start + n)
-        ]
+    if n < _BATCH_MIN:
+        return np.array(
+            [keyed_uniform(seed, name, *key, i)
+             for i in range(start, start + n)],
+            dtype=np.float64,
+        )
     state = derive_seed(seed, name)
     for part in key:
         state = _mix_part(state, part)
-    indexes = _np.arange(start, start + n, dtype=_np.uint64)
-    with _np.errstate(over="ignore"):
-        mixed = _splitmix64_array(_np.uint64(state) ^ indexes)
+    indexes = np.arange(start, start + n, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        mixed = _splitmix64_array(np.uint64(state) ^ indexes)
         final = _splitmix64_array(mixed)
-    return (final >> _np.uint64(11)) / float(1 << 53)
+    return (final >> np.uint64(11)) / float(1 << 53)
 
 
 class RandomStream:
@@ -239,21 +237,18 @@ class RandomStream:
         build doubles as ``(a >> 5) * 2^26 + (b >> 6)) / 2^53``, so the
         fast path transplants the Twister state into a
         ``numpy.random.RandomState``, draws the block vectorized, and
-        transplants the advanced state back.  Without NumPy (or for small
-        ``n``, where the 624-word transplant costs more than the loop) the
-        scalar fallback produces the same values as a list.
+        transplants the advanced state back.  For small ``n``, where the
+        624-word transplant costs more than the loop, a scalar loop
+        produces the same values.
         """
-        if n <= 0:
-            return _np.empty(0) if _np is not None else []
-        if _np is None or n < _BATCH_MIN:
+        if n < _BATCH_MIN:
             rnd = self._rng.random
-            out = [rnd() for _ in range(n)]
-            return _np.asarray(out) if _np is not None else out
+            return np.array([rnd() for _ in range(n)], dtype=np.float64)
         version, internal, gauss_next = self._rng.getstate()
-        twister = _np.random.RandomState()
+        twister = np.random.RandomState()
         twister.set_state((
             "MT19937",
-            _np.asarray(internal[:_MT_N], dtype=_np.uint32),
+            np.asarray(internal[:_MT_N], dtype=np.uint32),
             internal[_MT_N],
         ))
         out = twister.random_sample(n)

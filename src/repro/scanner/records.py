@@ -4,18 +4,17 @@ The paper stores "IP address, port, response, banner" per responding host
 "in a database for further analysis" (Section 3.1.1).  :class:`ScanRecord`
 is that row as a standalone value; :class:`ScanDatabase` is the store.
 
-Storage is *columnar*: the database keeps parallel columns (compact
-``array`` columns for the numeric fields, lists for the byte payloads)
-instead of one Python object per record.  Iteration yields lightweight
-slotted :class:`ScanRow` views that read and write straight through to the
-columns, so the object-per-row API survives while memory stays flat and
-bulk queries scan contiguous arrays.
+Storage is *columnar*: the database keeps parallel columns (NumPy-backed
+:class:`~repro.core.columns.NumpyColumn` buffers for the numeric fields,
+lists for the byte payloads) instead of one Python object per record.
+Iteration yields lightweight slotted :class:`ScanRow` views that read and
+write straight through to the columns, so the object-per-row API survives
+while memory stays flat and bulk queries scan contiguous arrays.
 
-Columns come from :mod:`repro.core.columns` and are backend-pluggable:
-``ScanDatabase(backend="numpy")`` stores the numeric fields in growable
-NumPy buffers and serves ``where``/``count_by``/``sorted_canonical`` from
-masks, ``np.unique`` groups and a stable ``lexsort`` — byte-identical to
-the pure-Python paths, which stay live as the differential oracle.
+Numeric filters in ``where``, numeric ``count_by`` keys and
+``sorted_canonical`` run as boolean masks, ``np.unique`` groups and a
+stable ``lexsort`` over those buffers, and hand back native Python
+scalars, so serialized artifacts match a row-by-row recomputation.
 
 The query surface the analysis stages use:
 
@@ -46,14 +45,14 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.core.columns import (
     NumpyColumn,
     _warn_deprecated,
     first_occurrence_counts,
     make_numeric_column,
     make_object_column,
-    np as _np,
-    resolve_backend,
 )
 from repro.net.ipv4 import int_to_ip
 from repro.protocols.base import ProtocolId, TransportKind
@@ -269,22 +268,18 @@ class ScanDatabase:
     def __init__(
         self,
         records: Optional[Iterable[Any]] = None,
-        *,
-        backend: str = "python",
     ) -> None:
-        #: Resolved column backend: ``"python"`` or ``"numpy"``.
-        self.backend = resolve_backend(backend)
         #: Batched ingestions performed (one per :meth:`append_batch` call);
         #: surfaced through ``StudyMetrics`` so ``--metrics-json`` shows
         #: whether the vectorized merge path ran.
         self.batch_appends = 0
-        self._addresses = make_numeric_column("u64", self.backend)
-        self._ports = make_numeric_column("u32", self.backend)
+        self._addresses = make_numeric_column("u64")
+        self._ports = make_numeric_column("u32")
         self._protocols: List[ProtocolId] = make_object_column()
         self._transports: List[TransportKind] = make_object_column()
         self._banners: List[bytes] = make_object_column()
         self._responses: List[bytes] = make_object_column()
-        self._timestamps = make_numeric_column("f64", self.backend)
+        self._timestamps = make_numeric_column("f64")
         self._sources: List[str] = make_object_column()
         #: Batch-emission observers (see :meth:`subscribe`).
         self._observers: List[Callable[[List[ScanRow]], None]] = []
@@ -364,9 +359,9 @@ class ScanDatabase:
         response, timestamp, source)`` tuples in one columnar pass.
 
         The sharded campaign merge feeds its sorted row tuples through
-        here: one ``extend`` per column (a single buffer copy on the NumPy
-        backend) instead of one ``append_row`` per row.  Returns the row
-        count.
+        here: one ``extend`` per column (a single buffer copy for the
+        numeric columns) instead of one ``append_row`` per row.  Returns
+        the row count.
         """
         if not isinstance(rows, list):
             rows = list(rows)
@@ -409,8 +404,9 @@ class ScanDatabase:
 
         ``name`` is a field name: ``"address"``, ``"port"``, ``"protocol"``,
         ``"transport"``, ``"banner"``, ``"response"``, ``"timestamp"`` or
-        ``"source"``.  Numeric columns come back as compact ``array``
-        objects — ideal for set-building and vector-style passes.
+        ``"source"``.  Numeric columns come back as
+        :class:`~repro.core.columns.NumpyColumn` objects whose ``view()``
+        is the live ``ndarray``; object columns as lists.
         """
         try:
             return getattr(self, f"_{name}es" if name == "address" else
@@ -449,15 +445,14 @@ class ScanDatabase:
         (``True`` keeps flagged rows, ``False`` keeps healthy ones);
         ``predicate`` is an escape hatch receiving each :class:`ScanRow`.
 
-        On the NumPy backend the numeric filters (``port``, ``address``)
-        collapse to one boolean mask over the columns before any row view
-        is built; the surviving positions then run the object filters
-        row-wise, so the selected rows (and their order) are identical to
-        the pure-Python scan.
+        The numeric filters (``port``, ``address``) collapse to one
+        boolean mask over the columns before any row view is built; the
+        surviving positions then run the object filters row-wise, in
+        insertion order.
         """
         positions: Iterable[int] = range(len(self._addresses))
-        if self.backend == "numpy" and (port is not None or address is not None):
-            mask = _np.ones(len(self._addresses), dtype=bool)
+        if port is not None or address is not None:
+            mask = np.ones(len(self._addresses), dtype=bool)
             for column, value in (
                 (self._ports, port), (self._addresses, address)
             ):
@@ -465,10 +460,10 @@ class ScanDatabase:
                     continue
                 view = column.view()
                 if isinstance(value, (set, frozenset, list, tuple, range)):
-                    mask &= _np.isin(view, list(value))
+                    mask &= np.isin(view, list(value))
                 else:
                     mask &= view == value
-            positions = _np.nonzero(mask)[0].tolist()
+            positions = np.nonzero(mask)[0].tolist()
             port = address = None  # already applied vectorized
         tests: List[Callable[[ScanRow], bool]] = []
         for name, value in (
@@ -494,7 +489,7 @@ class ScanDatabase:
             )
         if predicate is not None:
             tests.append(predicate)
-        selected = ScanDatabase(backend=self.backend)
+        selected = ScanDatabase()
         for index in positions:
             row = ScanRow(self, index)
             if all(test(row) for test in tests):
@@ -510,9 +505,9 @@ class ScanDatabase:
         ``db.count_by("protocol", unique="address")`` counts *distinct
         addresses* per protocol — Table 4's unit.
 
-        Numeric key columns on the NumPy backend group via ``np.unique``
-        (reordered to first occurrence, matching the dict-insertion order
-        of the pure-Python loop); object columns keep the Python loop.
+        Numeric key columns group via ``np.unique`` (reordered to first
+        occurrence, the dict-insertion order of a counting loop); object
+        columns keep the Python loop.
         """
         keys = self.column(column)
         if unique is None:
@@ -541,9 +536,7 @@ class ScanDatabase:
     def unique_hosts(self, protocol: Optional[ProtocolId] = None) -> Set[int]:
         """Distinct responding addresses (optionally per protocol)."""
         if protocol is None:
-            if isinstance(self._addresses, NumpyColumn):
-                return set(_np.unique(self._addresses.view()).tolist())
-            return set(self._addresses)
+            return set(np.unique(self._addresses.view()).tolist())
         return {
             self._addresses[index]
             for index, value in enumerate(self._protocols)
@@ -571,20 +564,14 @@ class ScanDatabase:
         attribution)."""
         self._sources = [source] * len(self._sources)
 
-    def _take(self, order: Iterable[int]) -> "ScanDatabase":
+    def _take(self, order: np.ndarray) -> "ScanDatabase":
         """New database with rows re-ordered by ``order`` positions
         (NumPy fancy-indexing on numeric columns, list picks on objects)."""
-        result = ScanDatabase(backend=self.backend)
-        if isinstance(self._addresses, NumpyColumn):
-            result._addresses = self._addresses.take(order)
-            result._ports = self._ports.take(order)
-            result._timestamps = self._timestamps.take(order)
-            picks = order.tolist() if hasattr(order, "tolist") else list(order)
-        else:
-            picks = list(order)
-            result._addresses.extend(self._addresses[i] for i in picks)
-            result._ports.extend(self._ports[i] for i in picks)
-            result._timestamps.extend(self._timestamps[i] for i in picks)
+        result = ScanDatabase()
+        result._addresses = self._addresses.take(order)
+        result._ports = self._ports.take(order)
+        result._timestamps = self._timestamps.take(order)
+        picks = order.tolist()
         result._protocols = [self._protocols[i] for i in picks]
         result._transports = [self._transports[i] for i in picks]
         result._banners = [self._banners[i] for i in picks]
@@ -597,24 +584,16 @@ class ScanDatabase:
         the order sharded campaigns merge into, making shard count (and
         probe order generally) unobservable.
 
-        The NumPy backend sorts with a stable ``lexsort`` over the columns
-        (protocols compare as their string values, exactly how the
-        ``str``-based :class:`~repro.protocols.base.ProtocolId` enum
-        compares), producing the same permutation as the tuple-key sort.
+        A stable ``lexsort`` over the columns (protocols compare as their
+        string values, exactly how the ``str``-based
+        :class:`~repro.protocols.base.ProtocolId` enum compares) — the
+        same permutation as a stable sort on the tuple key.
         """
-        if isinstance(self._addresses, NumpyColumn) and len(self._addresses):
-            protocols = _np.array([str(p) for p in self._protocols])
-            order = _np.lexsort(
-                (protocols, self._ports.view(), self._addresses.view())
-            )
-            return self._take(order)
-        order = sorted(
-            range(len(self._addresses)),
-            key=lambda index: (
-                self._addresses[index],
-                self._ports[index],
-                self._protocols[index],
-            ),
+        if not len(self._addresses):
+            return ScanDatabase()
+        protocols = np.array([str(p) for p in self._protocols])
+        order = np.lexsort(
+            (protocols, self._ports.view(), self._addresses.view())
         )
         return self._take(order)
 
@@ -626,7 +605,7 @@ class ScanDatabase:
         our own scan's richer banners are preferred over dataset rows.
         """
         seen = set()
-        merged = ScanDatabase(backend=self.backend)
+        merged = ScanDatabase()
         for db in (self, other):
             for row in db.iter_rows():
                 key = (row.address, row.port, row.protocol)

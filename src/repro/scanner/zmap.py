@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.columns import BACKENDS, resolve_backend
 from repro.core.tasks import (
     EXECUTORS,
     ExecutorStats,
@@ -131,11 +130,6 @@ class ScanConfig:
     #: Robustness-only (shard tasks are pure, so a retry is byte-identical)
     #: and therefore excluded from comparison like ``shards``.
     retries: int = field(default=0, compare=False)
-    #: Column backend for the campaign database (``None`` inherits the
-    #: study-level choice, resolving to ``"auto"`` standalone).  Both
-    #: backends are byte-identical, so the knob is excluded from
-    #: equality/fingerprints like the other deployment knobs.
-    backend: Optional[str] = field(default=None, compare=False)
     #: Task executor for the per-(protocol, shard) batch (``None``
     #: inherits the study-level choice; see
     #: :func:`~repro.core.tasks.resolve_executor`).  All executors are
@@ -157,11 +151,6 @@ class ScanConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.protocols:
             raise ConfigError("protocols must name at least one protocol")
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKENDS)}; "
-                f"got {self.backend!r}"
-            )
         if self.executor is not None and self.executor not in EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {', '.join(EXECUTORS)}; "
@@ -281,7 +270,7 @@ class InternetScanner:
         # ScanDatabase.sorted_canonical uses, so the reference serial path
         # and any shard count produce byte-identical databases.
         rows.sort(key=lambda row: (row[0], row[1], row[2]))
-        database = ScanDatabase(backend=resolve_backend(self.config.backend))
+        database = ScanDatabase()
         database.append_batch(rows)
         return database
 

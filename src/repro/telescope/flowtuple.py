@@ -33,7 +33,8 @@ from typing import (
     Optional,
 )
 
-from repro.core.columns import resolve_backend, np as _np
+import numpy as np
+
 from repro.net.errors import ProtocolError
 from repro.net.ipv4 import int_to_ip, ip_to_int
 from repro.net.packet import TransportProtocol
@@ -233,8 +234,7 @@ class FlowTupleWriter:
     consumers can treat it like the other two plane stores.
     """
 
-    def __init__(self, *, backend: str = "python") -> None:
-        self.backend = resolve_backend(backend)
+    def __init__(self) -> None:
         #: Columnar ingests (``extend_day`` of a block, ``append_batch``),
         #: surfaced per-plane by the study metrics.
         self.batch_appends = 0
@@ -366,7 +366,7 @@ class FlowTupleWriter:
                 tests.append(lambda record, n=name, w=wanted: getattr(record, n) in w)
             else:
                 tests.append(lambda record, n=name, w=wanted: getattr(record, n) == w)
-        selected = FlowTupleWriter(backend=self.backend)
+        selected = FlowTupleWriter()
         for record in self.records():
             if all(test(record) for test in tests):
                 selected.add(record)
@@ -398,27 +398,20 @@ class FlowTupleWriter:
         """A new writer in canonical
         ``(time, src_ip, dst_ip, src_port, dst_port)`` order.
 
-        The NumPy backend lexsorts key columns extracted once; the Python
-        backend's ``sorted`` is the differential oracle (both stable, both
-        byte-identical)."""
+        A stable ``lexsort`` over the key columns, extracted once — the
+        same permutation as a stable ``sorted`` on the key tuple."""
         records = list(self.records())
-        if self.backend == "numpy" and records:
+        if records:
             keys = [
-                _np.fromiter(
+                np.fromiter(
                     (getattr(record, name) for record in records),
-                    dtype=_np.int64, count=len(records),
+                    dtype=np.int64, count=len(records),
                 )
                 # lexsort wants the primary key LAST.
                 for name in reversed(_CANONICAL_KEY)
             ]
-            order = _np.lexsort(keys).tolist()
+            order = np.lexsort(keys).tolist()
             records = [records[i] for i in order]
-        else:
-            records.sort(
-                key=lambda record: tuple(
-                    getattr(record, name) for name in _CANONICAL_KEY
-                )
-            )
-        ordered = FlowTupleWriter(backend=self.backend)
+        ordered = FlowTupleWriter()
         ordered.append_batch(records)
         return ordered

@@ -24,8 +24,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.attacks.actors import ActorRegistry, SourceInfo
-from repro.core.columns import BACKENDS, resolve_backend, np as _np
 from repro.core.scaling import scale_count
 from repro.core.tasks import (
     EXECUTORS,
@@ -96,12 +97,6 @@ class TelescopeConfig:
     #: fault.  Robustness-only (tasks are pure, so a retry is
     #: byte-identical) and excluded from equality like ``workers``.
     retries: int = field(default=0, compare=False)
-    #: Column backend for record emission and the flow store (``None``
-    #: inherits the study-level choice).  The NumPy backend batch-draws
-    #: each (protocol, day) task's fields and files them columnar; output
-    #: is byte-identical to ``"python"``, so the knob is excluded from
-    #: equality/fingerprints like ``workers``.
-    backend: Optional[str] = field(default=None, compare=False)
     #: Task executor for the per-(protocol, day) batch (``None`` inherits
     #: the study-level choice; see
     #: :func:`~repro.core.tasks.resolve_executor`).  All executors are
@@ -119,11 +114,6 @@ class TelescopeConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
             raise ConfigError(f"retries must be >= 0, got {self.retries}")
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ConfigError(
-                f"backend must be one of {', '.join(BACKENDS)}; "
-                f"got {self.backend!r}"
-            )
         if self.executor is not None and self.executor not in EXECUTORS:
             raise ConfigError(
                 f"executor must be one of {', '.join(EXECUTORS)}; "
@@ -175,16 +165,14 @@ def _telescope_worker_setup(context) -> "NetworkTelescope":
     Emission tasks touch only config-derived state — streams are pure
     functions of the seed, the dark prefix parses from the config — so the
     worker gets a registry-less telescope shell rather than the full actor
-    population.  The parent's *resolved* backend rides along so ``"auto"``
-    cannot resolve differently across the pool.
+    population.
     """
-    config, backend = context
+    config = context
     shell = NetworkTelescope.__new__(NetworkTelescope)
     shell.registry = None
     shell.geo = None
     shell.asn = None
     shell.config = config
-    shell.backend = backend
     shell._stream = RandomStream(config.seed, "telescope")
     shell._dark = CidrBlock.parse(config.dark_prefix)
     shell._allocator = None
@@ -216,8 +204,6 @@ class NetworkTelescope:
         self.geo = geo
         self.asn = asn
         self.config = config or TelescopeConfig()
-        #: The resolved column backend ("python" or "numpy").
-        self.backend = resolve_backend(self.config.backend)
         self._stream = RandomStream(self.config.seed, "telescope")
         self._dark = CidrBlock.parse(self.config.dark_prefix)
         self._allocator = AddressAllocator(
@@ -253,7 +239,7 @@ class NetworkTelescope:
         byte-identical output.  An optional ``deadline`` arms per-task
         wall-time supervision.
         """
-        writer = FlowTupleWriter(backend=self.backend)
+        writer = FlowTupleWriter()
         sources_by_protocol: Dict[ProtocolId, Set[int]] = {}
         scanning_by_protocol: Dict[ProtocolId, Set[int]] = {}
 
@@ -298,7 +284,7 @@ class NetworkTelescope:
         process_plan = ProcessPlan(
             run=_telescope_worker_run,
             setup=_telescope_worker_setup,
-            context=(self.config, self.backend),
+            context=self.config,
             payloads=[
                 (
                     unit,
@@ -526,74 +512,16 @@ class NetworkTelescope:
 
     def _emit_day(
         self, protocol: ProtocolId, day: int, entries: List[tuple]
-    ) -> Tuple[List[FlowTupleRecord], int, TaskTiming]:
+    ) -> Tuple[FlowBlock, int, TaskTiming]:
         """Emit one (protocol, day) batch from its derived stream.
 
-        The per-record fields are uniform draws computed directly from
-        ``stream.random()`` — one raw draw each instead of the
-        ``randint`` slow path — which is where the sharded telescope's
-        single-thread throughput win comes from.  On the NumPy backend the
-        task instead batch-draws all ``6 * n`` uniforms at once and builds
-        a columnar :class:`FlowBlock` (see :meth:`_emit_day_numpy`).
-        """
-        if self.backend == "numpy" and entries:
-            return self._emit_day_numpy(protocol, day, entries)
-        start = time.perf_counter()
-        stream = self._stream.derive("emit", str(protocol), day)
-        rnd = stream.rng.random
-        port = DEFAULT_PORTS[protocol][0]
-        is_tcp = transport_of(protocol) != TransportKind.UDP
-        transport = TransportProtocol.TCP if is_tcp else TransportProtocol.UDP
-        tcp_flags = 0x02 if is_tcp else 0
-        ip_len = 44 if is_tcp else 60
-        dark_first = self._dark.first
-        dark_span = self._dark.last - dark_first + 1
-        day_base = day * 86_400
-        spoofed_fraction = self.config.spoofed_fraction
-        masscan_fraction = self.config.masscan_fraction
-        records: List[FlowTupleRecord] = []
-        append = records.append
-        record = FlowTupleRecord
-        packets = 0
-        # Positional construction: this is the telescope's per-record hot
-        # loop, and the kwargs dict costs more than the field draws.
-        for source, per_day, country, asn in entries:
-            append(record(
-                day_base + int(rnd() * 86_400),           # time
-                source,                                    # src_ip
-                dark_first + int(rnd() * dark_span),       # dst_ip
-                1024 + int(rnd() * 64_512),                # src_port
-                port,                                      # dst_port
-                transport,
-                32 + int(rnd() * 224),                     # ttl
-                tcp_flags,
-                ip_len,
-                per_day,                                   # packet_count
-                rnd() < spoofed_fraction,                  # is_spoofed
-                rnd() < masscan_fraction,                  # is_masscan
-                country,
-                asn,
-            ))
-            packets += per_day
-        timing = TaskTiming(
-            plane="telescope", unit=str(protocol), day=day,
-            seconds=time.perf_counter() - start, events=len(records),
-        )
-        return records, packets, timing
-
-    def _emit_day_numpy(
-        self, protocol: ProtocolId, day: int, entries: List[tuple]
-    ) -> Tuple[FlowBlock, int, TaskTiming]:
-        """The vectorized twin of :meth:`_emit_day`.
-
-        One :meth:`~repro.net.prng.RandomStream.uniform_array` call
-        replaces the ``6 * n`` scalar draws (bit-identical floats, same
-        order: row ``i`` consumes draws ``6i .. 6i+5`` exactly as the
-        scalar loop does), and the field arithmetic runs as whole-column
-        expressions whose truncations match ``int()`` on the scalar path
-        (every operand is non-negative).  The output is a columnar
-        :class:`FlowBlock`; its lazily-materialized records are
-        byte-identical to the scalar path's list.
+        One :meth:`~repro.net.prng.RandomStream.uniform_array` call draws
+        all ``6 * n`` uniforms (row ``i`` consumes draws ``6i .. 6i+5``,
+        bit-identical to ``6 * n`` sequential ``stream.random()`` calls),
+        and the field arithmetic runs as whole-column expressions whose
+        truncations match ``int()`` (every operand is non-negative).  The
+        output is a columnar :class:`FlowBlock`, materialized into
+        :class:`FlowTupleRecord` tuples only when a consumer iterates.
         """
         start = time.perf_counter()
         stream = self._stream.derive("emit", str(protocol), day)
@@ -605,21 +533,21 @@ class NetworkTelescope:
         dark_first = self._dark.first
         dark_span = self._dark.last - dark_first + 1
         day_base = day * 86_400
-        sources = _np.fromiter(
-            (entry[0] for entry in entries), dtype=_np.int64, count=n
+        sources = np.fromiter(
+            (entry[0] for entry in entries), dtype=np.int64, count=n
         )
-        per_day = _np.fromiter(
-            (entry[1] for entry in entries), dtype=_np.int64, count=n
+        per_day = np.fromiter(
+            (entry[1] for entry in entries), dtype=np.int64, count=n
         )
         block = FlowBlock(
             n,
-            time=day_base + (draws[:, 0] * 86_400).astype(_np.int64),
+            time=day_base + (draws[:, 0] * 86_400).astype(np.int64),
             src_ip=sources,
-            dst_ip=dark_first + (draws[:, 1] * dark_span).astype(_np.int64),
-            src_port=1024 + (draws[:, 2] * 64_512).astype(_np.int64),
+            dst_ip=dark_first + (draws[:, 1] * dark_span).astype(np.int64),
+            src_port=1024 + (draws[:, 2] * 64_512).astype(np.int64),
             dst_port=port,
             protocol=transport,
-            ttl=32 + (draws[:, 3] * 224).astype(_np.int64),
+            ttl=32 + (draws[:, 3] * 224).astype(np.int64),
             tcp_flags=0x02 if is_tcp else 0,
             ip_len=44 if is_tcp else 60,
             packet_count=per_day,

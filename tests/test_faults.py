@@ -35,6 +35,7 @@ from repro.core.engine import (
     StudyEngine,
 )
 from repro.core.faults import FaultInjector, FaultPlan, FaultRule
+from repro.core.integrity import wrap_envelope
 from repro.core.taxonomy import TrafficClass
 from repro.core.tasks import (
     JOURNAL_SCHEMA_VERSION,
@@ -583,6 +584,17 @@ class TestPhaseCacheHeader:
             pickle.dump({"schema": ENGINE_SCHEMA_VERSION + 1,
                          "fingerprint": "fp",
                          "artifacts": {"zmap_db": 41}}, handle)
+        assert PhaseCache(directory=tmp_path).get(self.KEY, "fp") == (
+            None, False,
+        )
+        # A version-2 envelope may hold stores with ``array`` columns,
+        # which the NumPy-only query paths cannot serve: it must miss.
+        assert ENGINE_SCHEMA_VERSION == 3
+        with open(tmp_path / f"{self.KEY}.pkl", "wb") as handle:
+            handle.write(wrap_envelope(
+                pickle.dumps({"zmap_db": 41}), schema=2, kind="phase",
+                key=self.KEY, fingerprint="fp",
+            ))
         assert PhaseCache(directory=tmp_path).get(self.KEY, "fp") == (
             None, False,
         )

@@ -125,7 +125,7 @@ class TestSupervisorMetrics:
             action="pool-restart", reason="worker-crash",
             generation=0, requeued=42,
         ))
-        metrics = StudyMetrics(backend="python")
+        metrics = StudyMetrics()
         metrics.record_executor("attacks", stats)
 
         assert len(metrics.supervisor) == 1
