@@ -31,7 +31,7 @@ from repro.net.errors import (
     ValidationError,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ConfigError",

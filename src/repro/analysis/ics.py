@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.taxonomy import AttackType
 from repro.honeypots.base import HoneypotDeployment
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.protocols.base import ProtocolId
 from repro.protocols.modbus import ModbusServer
 from repro.protocols.s7 import S7Server
@@ -52,7 +52,7 @@ class IcsTrafficReport:
 
 def analyze_ics_traffic(
     deployment: HoneypotDeployment,
-    log: Optional[EventLog] = None,
+    log: Optional[EventStore] = None,
 ) -> IcsTrafficReport:
     """Aggregate the ICS observables from the Conpot-style honeypots."""
     report = IcsTrafficReport()

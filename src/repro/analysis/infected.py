@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.intel.censysiot import CensysIotDB
 from repro.intel.virustotal import VirusTotalDB
 from repro.net.rdns import ReverseDns
@@ -67,7 +67,7 @@ class InfectedHostsReport:
 
 def analyze_infected_hosts(
     misconfigured_addresses: Set[int],
-    log: EventLog,
+    log: EventStore,
     telescope: TelescopeCapture,
     virustotal: VirusTotalDB,
     censys: Optional[CensysIotDB] = None,

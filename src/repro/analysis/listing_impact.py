@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.honeypots.base import HoneypotDeployment
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 
 __all__ = ["ListingEffect", "ListingImpactReport", "analyze_listing_impact"]
 
@@ -68,7 +68,7 @@ class ListingImpactReport:
 
 
 def analyze_listing_impact(
-    log: EventLog,
+    log: EventStore,
     deployment: HoneypotDeployment,
     *,
     days: int = 30,

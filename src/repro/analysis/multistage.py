@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks.scanning_services import SCANNING_SERVICES
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.net.rdns import ReverseDns
 from repro.protocols.base import ProtocolId
 
@@ -59,7 +59,7 @@ class MultistageReport:
         return stages[0] if stages else {}
 
 
-def detect_multistage(log: EventLog, rdns: ReverseDns) -> MultistageReport:
+def detect_multistage(log: EventStore, rdns: ReverseDns) -> MultistageReport:
     """Find multi-protocol sources, excluding scanning-service domains."""
     report = MultistageReport()
     for source, events in log.multistage_candidates().items():

@@ -23,10 +23,6 @@ mirror of the scan plane's sharded campaign):
    malware variants are adopted in canonical task order — byte-identical
    output for every worker count.
 
-:meth:`AttackScheduler.run_reference` keeps the original strictly-serial
-path (one interleaved stream, sessions through the shared fabric) as the
-differential oracle and benchmark baseline.
-
 Fitted inputs (all named constants below, every one traceable to the paper):
 
 * per-honeypot/protocol event budgets — Table 7;
@@ -48,7 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.attacks.actors import ActorRegistry, SourceInfo
 from repro.attacks.malware import MalwareCorpus, TaskCorpusView
 from repro.attacks.payloads import build_payloads
-from repro.attacks.scanning_services import SCANNING_SERVICES, ScanningService
+from repro.attacks.scanning_services import SCANNING_SERVICES
 from repro.core.scaling import apportion, scale_count
 from repro.core.tasks import (
     EXECUTORS,
@@ -68,7 +64,7 @@ from repro.honeypots.base import (
     SessionTranscript,
 )
 from repro.honeypots.classify import classify_session
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.internet.fabric import SimulatedInternet
 from repro.internet.population import Population
 from repro.net.errors import ConfigError
@@ -223,6 +219,8 @@ class AttackScheduleConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.net.errors.ConfigError` on invalid knobs."""
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.attack_scale < 1:
             raise ConfigError("attack_scale must be >= 1")
         if not 0 < self.scanning_share < 1:
@@ -257,7 +255,7 @@ class PlannedSession:
 class ScheduleResult:
     """Everything the month produced."""
 
-    log: EventLog
+    log: EventStore
     registry: ActorRegistry
     rdns: ReverseDns
     corpus: MalwareCorpus
@@ -359,30 +357,6 @@ class AttackScheduler:
             plan, multistage_actors, result,
             journal=journal, deadline=deadline,
         )
-        return result
-
-    def run_reference(self) -> ScheduleResult:
-        """The original strictly-serial month (the differential oracle).
-
-        One sequential stream interleaves planning and execution draws and
-        every session crosses the shared fabric — kept verbatim so the
-        sharded path has a fidelity baseline to be measured against.  Use
-        a fresh scheduler per run; ``run`` and ``run_reference`` consume
-        the same named streams.
-        """
-        result = ScheduleResult(
-            log=self.deployment.log,
-            registry=self.registry,
-            rdns=self.rdns,
-            corpus=self.corpus,
-        )
-        self._mark_listings()
-        infected_pools = self._build_infected_pools()
-        sources = self._build_sources(infected_pools)
-        budgets = self._scaled_budgets()
-        self._run_multistage(sources, budgets, result)
-        for honeypot in self.deployment.honeypots:
-            self._run_honeypot(honeypot, sources[honeypot.name], budgets, result)
         return result
 
     # -- population of sources ----------------------------------------------
@@ -627,12 +601,6 @@ class AttackScheduler:
         )
         return [scaled[day] for day in range(len(weights))]
 
-    def _pick_intent(self, protocol: ProtocolId, stream: RandomStream) -> AttackType:
-        mix = MALICIOUS_TYPE_MIX.get(protocol)
-        if not mix:
-            return AttackType.SCANNING
-        return stream.pick_weighted(mix)
-
     def _plan_honeypot(
         self,
         honeypot: LabHoneypot,
@@ -642,9 +610,9 @@ class AttackScheduler:
     ) -> None:
         """Draw one honeypot's month of session picks (no execution).
 
-        Same pools, same weighting and same pick structure as the
-        reference path — only the payload/timestamp draws move to the
-        per-(honeypot, day) execution streams.
+        Every decision-shaped draw happens here, on the honeypot's serial
+        stream; payload and timestamp draws happen in the per-(honeypot,
+        day) execution streams.
         """
         stream = self._stream.child(f"run.{honeypot.name}")
         protocols = [
@@ -925,7 +893,6 @@ class AttackScheduler:
         honeypot: LabHoneypot,
         day: int,
         sessions: List[PlannedSession],
-        batch: bool = True,
     ) -> _TaskOutcome:
         """Execute one (honeypot, day) task against cloned services.
 
@@ -933,12 +900,10 @@ class AttackScheduler:
         (payloads) and ``stream.derive(name, day, "ts")`` (timestamps)
         and everything it touches is task-private, so the outcome is a
         pure function of (seed, honeypot, day, session plan) regardless
-        of which worker runs it when.  ``batch=False`` runs the scalar
-        differential oracle (per-event draws and per-payload ``handle``
-        calls) that the default block-drawn path is pinned against.
+        of which worker runs it when.
         """
         return _execute_attack_task(
-            self._worker_state(), (honeypot.name, day, sessions), batch=batch
+            self._worker_state(), (honeypot.name, day, sessions)
         )
 
     @staticmethod
@@ -1053,270 +1018,6 @@ class AttackScheduler:
             protocols = set(result.log.where(source=info.address).column("protocol"))
             if len(protocols) >= 2:
                 result.multistage_sources.add(info.address)
-
-    # -- reference (strictly-serial oracle) --------------------------------
-
-    def _drive(
-        self,
-        honeypot: LabHoneypot,
-        protocol: ProtocolId,
-        source: SourceInfo,
-        intent: AttackType,
-        day: int,
-        stream: RandomStream,
-        result: ScheduleResult,
-    ) -> None:
-        payloads, malware_hash = build_payloads(
-            intent, protocol, stream, self.corpus
-        )
-        result.sessions_attempted += 1
-        transcript = self.deployment.drive_session(
-            self.internet, source.address, honeypot, protocol, payloads
-        )
-        if transcript is None:
-            result.sessions_dropped += 1
-            return
-        timestamp = day * 86_400.0 + stream.uniform(0, 86_399)
-        honeypot.record(
-            transcript, day=day, timestamp=timestamp,
-            actor=source.actor, malware_hash=malware_hash,
-        )
-        if malware_hash:
-            source.malware_families.add(self.corpus.family_of(malware_hash))
-
-    def _reset_daily(self) -> None:
-        """Containers restart daily (the paper exported and redeployed daily);
-        crash states clear so each day starts with live services."""
-        for honeypot in self.deployment.honeypots:
-            for server in honeypot.services.values():
-                if hasattr(server, "crashed"):
-                    server.crashed = False
-                    server.request_count = 0
-                if hasattr(server, "denial_of_service"):
-                    server.denial_of_service = False
-                    server.outstanding_jobs = 0
-                if hasattr(server, "flooded"):
-                    server.flooded = False
-
-    def _run_honeypot(
-        self,
-        honeypot: LabHoneypot,
-        pools: Dict[str, List[SourceInfo]],
-        budgets: Dict[Tuple[str, ProtocolId], int],
-        result: ScheduleResult,
-    ) -> None:
-        stream = self._stream.child(f"run.{honeypot.name}")
-        protocols = [
-            protocol for (name, protocol) in budgets if name == honeypot.name
-        ]
-        day_weights = self._day_weights(honeypot)
-        unknown_pool = list(pools["unknown"])
-        stream.shuffle(unknown_pool)
-        unknown_cursor = 0
-        scan_pool = pools["scanning"]
-
-        # Malicious sources stick to one protocol (real bots are
-        # single-purpose; the multistage actors are the deliberate
-        # exception) — partition the pool proportionally to budgets.
-        budget_sum = sum(budgets[(honeypot.name, p)] for p in protocols) or 1
-        mal_partition: Dict[ProtocolId, List[SourceInfo]] = {}
-        mal_pool = list(pools["malicious"])
-        stream.shuffle(mal_pool)
-        # Tor-exit scrapers are HTTP actors by construction (§5.1.6) —
-        # place them inside the pool slice that becomes the HTTP partition.
-        if _P.HTTP in protocols:
-            tor_sources = [info for info in mal_pool if info.tor_exit]
-            if tor_sources:
-                others = [info for info in mal_pool if not info.tor_exit]
-                http_index = protocols.index(_P.HTTP)
-                preceding_share = sum(
-                    budgets[(honeypot.name, p)]
-                    for p in protocols[:http_index]
-                ) / budget_sum
-                insert_at = min(
-                    len(others), int(round(preceding_share * len(mal_pool)))
-                )
-                mal_pool = (
-                    others[:insert_at] + tor_sources + others[insert_at:]
-                )
-        cursor = 0
-        for index, protocol in enumerate(protocols):
-            if index == len(protocols) - 1:
-                chunk = mal_pool[cursor:]
-            else:
-                share = budgets[(honeypot.name, protocol)] / budget_sum
-                size = int(round(share * len(mal_pool)))
-                chunk = mal_pool[cursor : cursor + size]
-                cursor += size
-            mal_partition[protocol] = chunk
-
-        for protocol in protocols:
-            total = budgets[(honeypot.name, protocol)]
-            if total <= 0:
-                continue
-            n_scan = int(round(total * self.config.scanning_share))
-            # Unknown sources hit once each; spread them across protocols
-            # proportionally to budget size.
-            n_unknown = min(
-                len(unknown_pool) - unknown_cursor,
-                int(round(len(unknown_pool) * total / budget_sum)),
-            )
-            n_mal = max(0, total - n_scan - n_unknown)
-
-            # The Figure 8 DoS spikes are carved out of the malicious
-            # budget, not added on top — totals stay Table 7-shaped.
-            spike_budget = 0
-            if protocol in (_P.UPNP, _P.COAP):
-                spike_budget = int(n_mal * self.config.dos_spike_fraction)
-                n_mal -= spike_budget
-            per_day_spike = [0] * self.config.days
-            for offset, spike_day in enumerate(DOS_SPIKE_DAYS):
-                if spike_day < self.config.days:
-                    per_day_spike[spike_day] = spike_budget // len(DOS_SPIKE_DAYS)
-                    if offset == 0:
-                        per_day_spike[spike_day] += spike_budget % len(
-                            DOS_SPIKE_DAYS
-                        )
-
-            per_day_mal = self._allocate_days(n_mal, day_weights)
-            per_day_scan = self._allocate_days(n_scan, [1.0] * self.config.days)
-            per_day_unknown = self._allocate_days(
-                n_unknown, [1.0] * self.config.days
-            )
-            spike_types = (AttackType.DOS_FLOOD, AttackType.REFLECTION)
-
-            partition = mal_partition.get(protocol, [])
-            mal_weights = [1.0 / (rank + 1) for rank in range(len(partition))]
-            fresh_cursor = 0  # every source attacks at least once if budget allows
-
-            def pick_malicious():
-                nonlocal fresh_cursor
-                if not partition:
-                    return None
-                if fresh_cursor < len(partition):
-                    source = partition[fresh_cursor]
-                    fresh_cursor += 1
-                    return source
-                return stream.choices(partition, mal_weights, k=1)[0]
-
-            # Risk-rating platforms concentrate on Telnet/AMQP/MQTT — the
-            # protocol focus behind Figure 5's GreyNoise gap.
-            service_focus = {
-                service.name: service.focus_protocols
-                for service in SCANNING_SERVICES
-            }
-            scan_weights = [
-                4.0 if str(protocol) in service_focus.get(source.service_name, ())
-                else 1.0
-                for source in scan_pool
-            ]
-
-            for day in range(self.config.days):
-                self._reset_daily()
-                # scanning services: recurring, uniform per-day rate
-                for _ in range(per_day_scan[day]):
-                    if not scan_pool:
-                        break
-                    source = stream.choices(scan_pool, scan_weights, k=1)[0]
-                    intent = (
-                        AttackType.DISCOVERY
-                        if stream.bernoulli(0.3)
-                        else AttackType.SCANNING
-                    )
-                    self._drive(
-                        honeypot, protocol, source, intent, day, stream, result
-                    )
-                # unknown one-shot scanners
-                for _ in range(per_day_unknown[day]):
-                    if unknown_cursor >= len(unknown_pool):
-                        break
-                    source = unknown_pool[unknown_cursor]
-                    unknown_cursor += 1
-                    self._drive(
-                        honeypot, protocol, source, AttackType.SCANNING,
-                        day, stream, result,
-                    )
-                # malicious traffic (trend-weighted) plus the DoS spikes
-                for _ in range(per_day_mal[day]):
-                    source = pick_malicious()
-                    if source is None:
-                        break
-                    if source.tor_exit and protocol == _P.HTTP:
-                        intent = AttackType.WEB_SCRAPING
-                    else:
-                        intent = self._pick_intent(protocol, stream)
-                    self._drive(
-                        honeypot, protocol, source, intent, day, stream, result
-                    )
-                for _ in range(per_day_spike[day]):
-                    source = pick_malicious()
-                    if source is None:
-                        break
-                    intent = stream.choice(list(spike_types))
-                    self._drive(
-                        honeypot, protocol, source, intent, day, stream, result
-                    )
-
-    def _run_multistage(
-        self,
-        sources: Dict[str, Dict[str, List[SourceInfo]]],
-        budgets: Dict[Tuple[str, ProtocolId], int],
-        result: ScheduleResult,
-    ) -> None:
-        """Multistage actors: one source, several protocols in sequence."""
-        stream = self._stream.child("multistage")
-        n_actors = self._scaled(PAPER_MULTISTAGE_ATTACKS)
-        sequences, weights = zip(*MULTISTAGE_SEQUENCES)
-        stage_intents = {
-            0: (AttackType.BRUTE_FORCE, AttackType.SCANNING),
-            1: (AttackType.EXPLOIT, AttackType.MALWARE_DROP,
-                AttackType.DATA_POISONING),
-            2: (AttackType.DATA_POISONING, AttackType.DOS_FLOOD),
-        }
-        for index in range(n_actors):
-            address = self._allocator.allocate()
-            info = self.registry.register(
-                SourceInfo(
-                    address=address,
-                    traffic_class=TrafficClass.MALICIOUS,
-                    actor=f"multistage-{index}",
-                    visits_honeypots=True,
-                    visits_telescope=stream.bernoulli(0.5),
-                )
-            )
-            sequence = stream.choices(list(sequences), list(weights), k=1)[0]
-            # Stages are days apart (the paper saw rescans "three days
-            # before the attack"), so observed order equals intent order.
-            day = stream.randint(
-                0, max(0, self.config.days - 3 * len(sequence) - 1)
-            )
-            landed_protocols = set()
-            for stage, protocol in enumerate(sequence):
-                candidates = self.deployment.emulating(protocol)
-                if not candidates:
-                    continue
-                honeypot = stream.choice(candidates)
-                intents = stage_intents.get(stage, stage_intents[2])
-                intent = stream.choice(list(intents))
-                if intent == AttackType.MALWARE_DROP and protocol not in (
-                    _P.TELNET, _P.SSH, _P.FTP, _P.SMB, _P.HTTP,
-                ):
-                    intent = AttackType.DATA_POISONING
-                before = len(self.deployment.log)
-                self._drive(
-                    honeypot, protocol, info, intent, day, stream, result
-                )
-                if len(self.deployment.log) > before:
-                    landed_protocols.add(protocol)
-                key = (honeypot.name, protocol)
-                if key in budgets and budgets[key] > 0:
-                    budgets[key] -= 1
-                day += stream.randint(1, 3)
-            # Only actors whose multi-protocol sequence actually landed are
-            # ground-truth multistage attacks (a stage can miss when the
-            # target service is down under DoS).
-            if len(landed_protocols) >= 2:
-                result.multistage_sources.add(address)
 
 
 # -- worker-side execution (shared by serial and process paths) -----------
@@ -1484,9 +1185,7 @@ def _drive_udp_batch(
     return nbytes
 
 
-def _execute_attack_task(
-    state: _AttackWorkerState, payload, batch: bool = True
-) -> _TaskOutcome:
+def _execute_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
     """Execute one ``(honeypot, day, sessions)`` task against cloned services.
 
     The worker-agnostic core behind :meth:`AttackScheduler._run_task`:
@@ -1494,9 +1193,8 @@ def _execute_attack_task(
     timestamps from one vectorized block on ``stream.derive(name, day,
     "ts")``, and identical-payload runs collapse to ``handle_repeat``
     fast paths with repeated transcripts classified once per distinct
-    exchange sequence.  ``batch=False`` is the scalar differential
-    oracle: per-event draws, per-payload ``handle`` calls, per-event
-    classification — pinned byte-identical to the batch path by tests.
+    exchange sequence.  ``tests/oracles/scalar_attack_task.py`` keeps the
+    per-event, per-payload version this path is pinned against.
     """
     honeypot_name, day, sessions = payload
     honeypot_address, pristine, want_pcap = state.honeypots[honeypot_name]
@@ -1504,16 +1202,10 @@ def _execute_attack_task(
     stream = state.stream.derive(honeypot_name, day)
     ts_stream = state.stream.derive(honeypot_name, day, "ts")
     day_base = day * 86_400.0
-    if batch:
-        timestamps = [
-            day_base + 86_399 * float(unit)
-            for unit in ts_stream.uniform_array(len(sessions))
-        ]
-    else:
-        ts_uniform = ts_stream.uniform
-        timestamps = [
-            day_base + ts_uniform(0, 86_399) for _ in range(len(sessions))
-        ]
+    timestamps = [
+        day_base + 86_399 * float(unit)
+        for unit in ts_stream.uniform_array(len(sessions))
+    ]
     services = copy.deepcopy(pristine)
     base_state = AttackScheduler._int_state(services)
     corpus_view = TaskCorpusView(state.corpus)
@@ -1522,7 +1214,7 @@ def _execute_attack_task(
     loss_model = state.loss_model
     lossy = state.loss_rate > 0
     attempts: Dict[Tuple[int, int, str], int] = {}
-    classified: Optional[dict] = {} if batch else None
+    classified: dict = {}
 
     current_protocol: Optional[ProtocolId] = None
     port: Optional[int] = None
@@ -1531,8 +1223,8 @@ def _execute_attack_task(
     for index, planned in enumerate(sessions):
         protocol = planned.protocol
         if protocol is not current_protocol:
-            # Protocol boundary == the reference path's daily restart
-            # point: each (protocol, day) batch starts on live services.
+            # Protocol boundary == the daily container restart: each
+            # (protocol, day) batch starts on live services.
             AttackScheduler._reset_services(services)
             current_protocol = protocol
             ports = [
@@ -1555,34 +1247,11 @@ def _execute_attack_task(
             protocol=protocol, port=port, source=src
         )
         exchanges = transcript.exchanges
-        request_total: Optional[int] = None
         if is_udp:
-            if batch:
-                request_total = _drive_udp_batch(
-                    server, payloads, exchanges, src, honeypot_address,
-                    port, day, loss_model, lossy, attempts,
-                )
-            else:
-                handle = server.handle
-                open_session = server.open_session
-                if lossy:
-                    for item in payloads:
-                        if AttackScheduler._task_lost(
-                            loss_model, src, honeypot_address, port, "udp",
-                            day, attempts,
-                        ):
-                            exchanges.append((item, b""))
-                            continue
-                        reply = handle(item, open_session(peer=src))
-                        exchanges.append(
-                            (item, reply.data if reply.data else b"")
-                        )
-                else:
-                    for item in payloads:
-                        reply = handle(item, open_session(peer=src))
-                        exchanges.append(
-                            (item, reply.data if reply.data else b"")
-                        )
+            request_total = _drive_udp_batch(
+                server, payloads, exchanges, src, honeypot_address,
+                port, day, loss_model, lossy, attempts,
+            )
         else:
             if lossy and AttackScheduler._task_lost(
                 loss_model, src, honeypot_address, port, "tcp",
@@ -1592,30 +1261,17 @@ def _execute_attack_task(
                 continue
             tcp_session = server.open_session(peer=src)
             transcript.banner = server.accept(tcp_session)
-            if batch:
-                request_total = _drive_tcp_batch(
-                    server, payloads, exchanges, tcp_session
-                )
-            else:
-                handle = server.handle
-                for item in payloads:
-                    reply = handle(item, tcp_session)
-                    exchanges.append((item, reply.data))
-                    if reply.close:
-                        break
+            request_total = _drive_tcp_batch(
+                server, payloads, exchanges, tcp_session
+            )
         timestamp = timestamps[index]
-        if classified is None:
-            attack_type, summary = classify_session(transcript)
-        else:
-            # Flood sessions repeat the exact same transcript; classify
-            # is a pure function of it, so memoize per task.
-            memo_key = (protocol, transcript.banner, tuple(exchanges))
-            cached = classified.get(memo_key)
-            if cached is None:
-                cached = classified[memo_key] = classify_session(transcript)
-            attack_type, summary = cached
-        if request_total is None:
-            request_total = transcript.request_bytes
+        # Flood sessions repeat the exact same transcript; classify is a
+        # pure function of it, so memoize per task.
+        memo_key = (protocol, transcript.banner, tuple(exchanges))
+        cached = classified.get(memo_key)
+        if cached is None:
+            cached = classified[memo_key] = classify_session(transcript)
+        attack_type, summary = cached
         events.append((
             honeypot_name, protocol, src, day, timestamp, attack_type,
             source.actor, summary, malware_hash, request_total,

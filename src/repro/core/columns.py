@@ -15,8 +15,6 @@ as parallel columns.  This module is the layer underneath them:
   (``where`` / ``count_by`` / ``iter_rows`` / ``sorted_canonical`` /
   ``append_batch``), so they depend on the query surface rather than on a
   concrete store;
-* the shared :func:`_warn_deprecated` helper behind every deprecation shim,
-  so removal releases are announced uniformly.
 
 **Determinism contract.**  The vector paths produce the bytes a
 row-by-row recomputation would: numeric columns hand back native Python
@@ -31,7 +29,6 @@ the stores' bytes.
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Any,
     Dict,
@@ -206,19 +203,3 @@ class ColumnStore(Protocol):
 
     def column(self, name: str) -> Any: ...
 
-
-def _warn_deprecated(
-    what: str, *, use: str, removal: str = "2.0", stacklevel: int = 3
-) -> None:
-    """Issue the project's uniform deprecation warning.
-
-    Every shim routes through here so each carries a removal release and
-    a replacement spelling; tests pin that each shim warns exactly once
-    per call site.
-    """
-    warnings.warn(
-        f"{what} is deprecated and will be removed in repro {removal}; "
-        f"{use}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )

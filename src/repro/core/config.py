@@ -9,15 +9,13 @@ from equal configs produce identical tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.attacks.schedule import AttackScheduleConfig
-from repro.core.columns import _warn_deprecated
 from repro.core.tasks import EXECUTORS
 from repro.internet.population import PopulationConfig
 from repro.net.compat import DATACLASS_KW_ONLY
 from repro.net.errors import ConfigError
-from repro.net.prng import DEFAULT_SEED
 from repro.scanner.zmap import ScanConfig
 from repro.telescope.telescope import TelescopeConfig
 
@@ -93,23 +91,10 @@ class StudyConfig:
     def __post_init__(self) -> None:
         self.validate()
         # Propagate the master seed into sub-configs left at the inherit
-        # sentinel.  The pre-1.1 rule overwrote any sub-seed equal to the
-        # legacy default (7) whenever the master differed, so it could not
-        # distinguish "left at default" from "explicitly 7"; warn callers
-        # who would have been silently overridden under that rule.
+        # sentinel; an explicit sub-seed is kept as-is.
         for sub in (self.population, self.scan, self.attacks, self.telescope):
             if getattr(sub, "seed", 0) is None:
                 sub.seed = self.seed
-            elif sub.seed == DEFAULT_SEED and self.seed != DEFAULT_SEED:
-                _warn_deprecated(
-                    f"explicit {type(sub).__name__}(seed={DEFAULT_SEED}) "
-                    f"under master seed {self.seed} (earlier releases "
-                    "overwrote it with the master seed; it is now kept "
-                    "as-is)",
-                    use="pass seed=None (the default) to inherit",
-                    removal="2.0",
-                    stacklevel=4,
-                )
         # Same inherit rule for the task executor.
         for sub in (self.scan, self.attacks, self.telescope):
             if getattr(sub, "executor", "") is None:

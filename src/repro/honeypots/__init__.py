@@ -3,7 +3,7 @@
 from repro.honeypots.base import HoneypotDeployment, LabHoneypot, SessionTranscript
 from repro.honeypots.classify import FLOOD_SESSION_THRESHOLD, classify_session
 from repro.honeypots.deployment import HONEYPOT_NAMES, build_deployment
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.honeypots.multistage_monitor import MultistageAlert, MultistageMonitor
 from repro.honeypots.pcap import (
     PayloadFinding,
@@ -16,7 +16,7 @@ from repro.honeypots.pcap import (
 
 __all__ = [
     "AttackEvent",
-    "EventLog",
+    "EventStore",
     "FLOOD_SESSION_THRESHOLD",
     "HONEYPOT_NAMES",
     "HoneypotDeployment",

@@ -5,7 +5,7 @@ protocol engines (the same classes the device population uses — honeypots
 *are* emulations of devices).  What makes it a honeypot is observation:
 every session driven against it yields a :class:`SessionTranscript`, which
 the honeypot classifies into an attack type (``classify.py``) and appends to
-the shared :class:`EventLog`.
+the shared :class:`EventStore`.
 
 Attack actors therefore interact through the fabric exactly like the real
 attackers interacted over the Internet; the honeypot only sees bytes, and
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.internet.fabric import SimulatedInternet, TcpConnection
 from repro.internet.host import SimulatedHost
 from repro.net.errors import ConnectionRefused, HostUnreachable
@@ -70,7 +70,7 @@ class LabHoneypot:
         device_profile: str,
         address: str,
         services: Dict[int, ProtocolServer],
-        log: EventLog,
+        log: EventStore,
     ) -> None:
         self.name = name
         self.device_profile = device_profile
@@ -140,7 +140,7 @@ class LabHoneypot:
 class HoneypotDeployment:
     """The six-honeypot lab: attachment, lookup, and session driving."""
 
-    def __init__(self, honeypots: List[LabHoneypot], log: EventLog) -> None:
+    def __init__(self, honeypots: List[LabHoneypot], log: EventStore) -> None:
         self.honeypots = honeypots
         self.log = log
         self._by_name = {honeypot.name: honeypot for honeypot in honeypots}

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.honeypots.base import HoneypotDeployment, LabHoneypot
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.protocols.amqp import AmqpConfig, AmqpServer
 from repro.protocols.base import ProtocolServer
 from repro.protocols.coap import CoapConfig, CoapServer
@@ -50,7 +50,7 @@ HONEYPOT_NAMES = ["HosTaGe", "U-Pot", "Conpot", "ThingPot", "Cowrie", "Dionaea"]
 _HONEYPOT_CREDENTIALS = {"root": "xc3511", "admin": "polycom"}
 
 
-def _hostage(log: EventLog) -> LabHoneypot:
+def _hostage(log: EventStore) -> LabHoneypot:
     services: Dict[int, ProtocolServer] = {
         23: TelnetServer(TelnetConfig(
             auth_required=True,
@@ -92,7 +92,7 @@ def _hostage(log: EventLog) -> LabHoneypot:
     )
 
 
-def _upot(log: EventLog) -> LabHoneypot:
+def _upot(log: EventStore) -> LabHoneypot:
     info = SsdpDeviceInfo(
         uuid="e3f2a1aa-4a2c-4546-ac5d-7663dd01dca1",
         server="Unspecified, UPnP/1.0, Unspecified",
@@ -110,7 +110,7 @@ def _upot(log: EventLog) -> LabHoneypot:
     )
 
 
-def _conpot(log: EventLog) -> LabHoneypot:
+def _conpot(log: EventStore) -> LabHoneypot:
     services: Dict[int, ProtocolServer] = {
         22: SshServer(SshConfig(
             software="OpenSSH_6.7p1 Debian-5+deb8u3",
@@ -135,7 +135,7 @@ def _conpot(log: EventLog) -> LabHoneypot:
     )
 
 
-def _thingpot(log: EventLog) -> LabHoneypot:
+def _thingpot(log: EventStore) -> LabHoneypot:
     services: Dict[int, ProtocolServer] = {
         5222: XmppServer(XmppConfig(
             domain="philips-hue.local",
@@ -150,7 +150,7 @@ def _thingpot(log: EventLog) -> LabHoneypot:
     )
 
 
-def _cowrie(log: EventLog) -> LabHoneypot:
+def _cowrie(log: EventStore) -> LabHoneypot:
     services: Dict[int, ProtocolServer] = {
         22: SshServer(SshConfig(
             software="OpenSSH_6.0p1 Debian-4+deb7u2",
@@ -169,7 +169,7 @@ def _cowrie(log: EventLog) -> LabHoneypot:
     )
 
 
-def _dionaea(log: EventLog) -> LabHoneypot:
+def _dionaea(log: EventStore) -> LabHoneypot:
     services: Dict[int, ProtocolServer] = {
         80: HttpServer(HttpConfig(
             server_header="nginx/1.10.3",
@@ -190,10 +190,10 @@ def _dionaea(log: EventLog) -> LabHoneypot:
     )
 
 
-def build_deployment(log: Optional[EventLog] = None) -> HoneypotDeployment:
+def build_deployment(log: Optional[EventStore] = None) -> HoneypotDeployment:
     """Construct the full six-honeypot lab sharing one event log."""
     if log is None:
-        log = EventLog()
+        log = EventStore()
     honeypots: List[LabHoneypot] = [
         _hostage(log), _upot(log), _conpot(log),
         _thingpot(log), _cowrie(log), _dionaea(log),

@@ -29,9 +29,6 @@ Numeric filters in ``where``, numeric ``count_by`` keys and
 stable ``lexsort`` over the :mod:`repro.core.columns` buffers, and hand
 back native Python scalars, so serialized artifacts match a row-by-row
 recomputation.
-
-``EventLog`` survives as an alias and ``.events`` as a deprecated property
-so external one-liners keep working for one release cycle.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ import numpy as np
 
 from repro.core.columns import (
     NumpyColumn,
-    _warn_deprecated,
     first_occurrence_counts,
     make_numeric_column,
     make_object_column,
@@ -64,7 +60,7 @@ from repro.core.taxonomy import AttackType
 from repro.net.ipv4 import int_to_ip
 from repro.protocols.base import ProtocolId
 
-__all__ = ["AttackEvent", "EventRow", "EventStore", "EventLog"]
+__all__ = ["AttackEvent", "EventRow", "EventStore"]
 
 #: Fields every event-like object (AttackEvent, EventRow, duck-typed rows)
 #: carries, in canonical column order.
@@ -474,17 +470,6 @@ class EventStore:
             return self._request_bytes
         return getattr(self, f"_{name}s")
 
-    @property
-    def events(self) -> List[EventRow]:
-        """Deprecated: materialized row-view list; use iteration,
-        :meth:`iter_rows` or :meth:`where` instead."""
-        _warn_deprecated(
-            "EventStore.events",
-            use="iterate the store or use iter_rows()/where() instead",
-            removal="2.0",
-        )
-        return list(self.iter_rows())
-
     # -- indexes ---------------------------------------------------------
 
     def _ensure_indexes(self) -> None:
@@ -782,6 +767,3 @@ class EventStore:
             if line.strip()
         )
 
-
-#: Historical name for the store; new code should say :class:`EventStore`.
-EventLog = EventStore

@@ -8,7 +8,7 @@ is the *online* variant a honeypot runs live: it watches events as they are
 recorded and raises an alert the moment a source crosses its second
 protocol.
 
-Attach a monitor to an :class:`EventLog` by feeding it events (or wrap the
+Attach a monitor to an :class:`EventStore` by feeding it events (or wrap the
 log with :meth:`watch`); alerts carry the protocol chain observed so far
 and fire exactly once per source.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.protocols.base import ProtocolId
 
 __all__ = ["MultistageAlert", "MultistageMonitor"]
@@ -78,7 +78,7 @@ class MultistageMonitor:
             return alert
         return None
 
-    def replay(self, log: EventLog) -> List[MultistageAlert]:
+    def replay(self, log: EventStore) -> List[MultistageAlert]:
         """Stream an existing log through the monitor in time order."""
         timestamps = log.column("timestamp")
         for index in sorted(range(len(log)), key=timestamps.__getitem__):

@@ -122,6 +122,8 @@ class PopulationConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.net.errors.ConfigError` on invalid knobs."""
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.scale < 1 or self.honeypot_scale < 1:
             raise ConfigError("scales must be >= 1")
         if not 0.0 <= self.telnet_alt_port_fraction <= 1.0:

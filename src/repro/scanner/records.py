@@ -24,9 +24,6 @@ The query surface the analysis stages use:
   ``db.count_by("protocol", unique="address")``;
 * :meth:`ScanDatabase.iter_rows` / :meth:`ScanDatabase.column` — row views
   and raw column access for tight loops.
-
-``.records`` survives as a deprecated property so external one-liners keep
-working for one release cycle.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ import numpy as np
 
 from repro.core.columns import (
     NumpyColumn,
-    _warn_deprecated,
     first_occurrence_counts,
     make_numeric_column,
     make_object_column,
@@ -413,17 +409,6 @@ class ScanDatabase:
                            f"_{name}s")
         except AttributeError:
             raise KeyError(f"no such column: {name!r}") from None
-
-    @property
-    def records(self) -> List[ScanRow]:
-        """Deprecated: materialized row-view list; use iteration,
-        :meth:`iter_rows` or :meth:`where` instead."""
-        _warn_deprecated(
-            "ScanDatabase.records",
-            use="iterate the database or use iter_rows()/where() instead",
-            removal="2.0",
-        )
-        return list(self.iter_rows())
 
     # -- typed query API -------------------------------------------------
 

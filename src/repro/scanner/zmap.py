@@ -8,8 +8,8 @@ The study's pipeline is two-stage, and so is ours:
    semantically the full IPv4 sweep, since unattached addresses cannot
    answer and contribute nothing but time.
 2. **Application grab** — for responding TCP endpoints, connect, record
-   the banner, then drive the :func:`~repro.scanner.probes.next_probe`
-   dialogue and record the replies (ZGrab).  UDP endpoints get their reply
+   the banner, then send the protocol's first probe and its optional
+   follow-up (:mod:`repro.scanner.probes`) and record the replies (ZGrab).  UDP endpoints get their reply
    in stage 1 already, since UDP scanning *is* application probing.
 
 Campaigns shard like ZMap does: :meth:`InternetScanner.run_campaign`
@@ -20,9 +20,8 @@ from a key-derived stream), and merges the results in canonical
 ``(address, port, protocol)`` order.  Because probe loss is keyed per flow in the
 fabric and shard assignment is a pure address function, the merged
 database is byte-identical for every ``K`` — the property
-``tests/test_sharding.py`` pins down.  :meth:`scan_protocol` keeps the
-original strictly-serial walk as the reference implementation (and the
-differential-testing oracle for the sharded path).
+``tests/test_sharding.py`` pins down against the strictly-serial walk
+kept in ``tests/oracles/serial_scan.py``.
 
 Blocklists are enforced before any probe leaves the scanner, mirroring the
 paper's ethics setup.  The scan date window (Appendix Table 9: March 1-5
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.tasks import (
     EXECUTORS,
@@ -46,7 +45,7 @@ from repro.core.tasks import (
 )
 from repro.internet.fabric import SimulatedInternet
 from repro.net.compat import DATACLASS_KW_ONLY
-from repro.net.errors import ConfigError, ConnectionRefused, HostUnreachable
+from repro.net.errors import ConfigError
 from repro.net.ipv4 import ip_to_int
 from repro.net.prng import RandomStream
 from repro.protocols.base import (
@@ -57,12 +56,11 @@ from repro.protocols.base import (
 )
 from repro.scanner.blocklist import Blocklist, zmap_default_blocklist
 from repro.scanner.probes import (
-    next_probe,
     tcp_followup_payload,
     tcp_probe_payload,
     udp_probe_payload,
 )
-from repro.scanner.records import ScanDatabase, ScanRecord
+from repro.scanner.records import ScanDatabase
 from repro.scanner.shard import ShardPlanner, ShardTiming
 
 __all__ = [
@@ -267,33 +265,12 @@ class InternetScanner:
                 )
             )
         # Canonical merge order across the whole campaign — the same key
-        # ScanDatabase.sorted_canonical uses, so the reference serial path
-        # and any shard count produce byte-identical databases.
+        # ScanDatabase.sorted_canonical uses, so every shard count
+        # produces a byte-identical database.
         rows.sort(key=lambda row: (row[0], row[1], row[2]))
         database = ScanDatabase()
         database.append_batch(rows)
         return database
-
-    def scan_protocol(self, protocol: ProtocolId) -> List[ScanRecord]:
-        """Full two-stage scan of one protocol — the serial reference path.
-
-        Kept deliberately simple (per-target blocklist checks, one record
-        object per row): it is the oracle the sharded pipeline is tested
-        against, and the baseline the scaling benchmark measures.
-        """
-        timestamp = scan_start_day(protocol) * _SECONDS_PER_DAY
-        transport = transport_of(protocol)
-        records: List[ScanRecord] = []
-        for address, port in self._targets(protocol):
-            if self.blocklist.blocks(address):
-                continue
-            if transport == TransportKind.TCP:
-                record = self._probe_tcp(protocol, address, port, timestamp)
-            else:
-                record = self._probe_udp(protocol, address, port, timestamp)
-            if record is not None:
-                records.append(record)
-        return records
 
     # -- sharded pipeline ----------------------------------------------------
 
@@ -395,68 +372,6 @@ class InternetScanner:
                 )
             )
         return rows, probes
-
-    # -- reference serial stages ---------------------------------------------
-
-    def _targets(self, protocol: ProtocolId) -> Iterable[Tuple[int, int]]:
-        """Candidate (address, port) pairs for one protocol sweep."""
-        ports = DEFAULT_PORTS[protocol]
-        for host in self.internet.hosts():
-            if self.host_filter is not None and not self.host_filter(host.address):
-                continue
-            for port in ports:
-                yield host.address, port
-
-    def _probe_tcp(
-        self, protocol: ProtocolId, address: int, port: int, timestamp: float
-    ) -> Optional[ScanRecord]:
-        """SYN probe, then the ZGrab dialogue driven by ``next_probe``."""
-        self.probes_sent += 1
-        try:
-            connection = self.internet.tcp_connect(self._source, address, port)
-        except (HostUnreachable, ConnectionRefused):
-            return None
-        responses: List[bytes] = []
-        while not connection.closed:
-            payload = next_probe(protocol, responses)
-            if payload is None:
-                break
-            responses.append(connection.send(payload))
-        connection.close()
-        return ScanRecord(
-            address=address,
-            port=port,
-            protocol=protocol,
-            transport=TransportKind.TCP,
-            banner=connection.banner,
-            response=b"".join(responses),
-            timestamp=timestamp,
-            source="zmap",
-        )
-
-    def _probe_udp(
-        self, protocol: ProtocolId, address: int, port: int, timestamp: float
-    ) -> Optional[ScanRecord]:
-        """UDP application probe with bounded retries."""
-        payload = udp_probe_payload(protocol)
-        response: Optional[bytes] = None
-        for _ in range(1 + max(0, self.config.udp_retries)):
-            self.probes_sent += 1
-            response = self.internet.udp_query(self._source, address, port, payload)
-            if response is not None:
-                break
-        if response is None:
-            return None
-        return ScanRecord(
-            address=address,
-            port=port,
-            protocol=protocol,
-            transport=TransportKind.UDP,
-            banner=b"",
-            response=response,
-            timestamp=timestamp,
-            source="zmap",
-        )
 
 
 # -- process-pool worker plumbing (module-level so it pickles by reference) --

@@ -40,7 +40,7 @@ from repro.core.tasks import (
 )
 from repro.core.taxonomy import TrafficClass
 from repro.net.asn import AsnRegistry
-from repro.net.errors import ConfigError
+from repro.net.errors import AddressError, ConfigError
 from repro.net.compat import DATACLASS_KW_ONLY
 from repro.net.geo import GeoRegistry
 from repro.net.ipv4 import AddressAllocator, CidrBlock
@@ -108,8 +108,22 @@ class TelescopeConfig:
 
     def validate(self) -> None:
         """Raise :class:`~repro.net.errors.ConfigError` on invalid knobs."""
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.days < 1:
+            raise ConfigError("days must be >= 1")
+        try:
+            CidrBlock.parse(self.dark_prefix)
+        except AddressError as error:
+            raise ConfigError(f"dark_prefix: {error}") from None
         if min(self.telnet_source_scale, self.source_scale, self.packet_scale) < 1:
             raise ConfigError("telescope scales must be >= 1")
+        if not 0.0 <= self.spoofed_fraction <= 1.0:
+            raise ConfigError("spoofed_fraction must be in [0, 1]")
+        if not 0.0 <= self.masscan_fraction <= 1.0:
+            raise ConfigError("masscan_fraction must be in [0, 1]")
+        if self.rsdos_attacks_per_day < 0:
+            raise ConfigError("rsdos_attacks_per_day must be >= 0")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.retries < 0:
@@ -327,48 +341,7 @@ class NetworkTelescope:
             rsdos_truth=rsdos_truth,
         )
 
-    def capture_month_reference(self) -> TelescopeCapture:
-        """The original strictly-serial capture (the differential oracle).
-
-        One sequential stream per protocol interleaves activity planning
-        with record emission — kept verbatim as the fidelity baseline for
-        the sharded path.  Use a fresh telescope per call; both capture
-        methods consume the same named streams.
-        """
-        writer = FlowTupleWriter()
-        sources_by_protocol: Dict[ProtocolId, Set[int]] = {}
-        scanning_by_protocol: Dict[ProtocolId, Set[int]] = {}
-        packets_by_protocol: Dict[ProtocolId, int] = {}
-
-        malicious_by_protocol = self._partition_registry()
-        for protocol, (daily_avg, unique_ips, scanning_ips) in PAPER_TELESCOPE.items():
-            stream = self._stream.child(f"proto.{protocol}")
-            all_sources, scanning_set = self._build_protocol_sources(
-                protocol, stream, malicious_by_protocol[protocol]
-            )
-            sources_by_protocol[protocol] = set(all_sources)
-            scanning_by_protocol[protocol] = scanning_set
-
-            total_packets = scale_count(
-                daily_avg * self.config.days, self.config.packet_scale
-            )
-            packets_by_protocol[protocol] = self._emit_records(
-                writer, protocol, all_sources, scanning_set,
-                total_packets, stream,
-            )
-
-        rsdos_truth = self._emit_rsdos_backscatter(writer)
-
-        return TelescopeCapture(
-            writer=writer,
-            sources_by_protocol=sources_by_protocol,
-            scanning_sources_by_protocol=scanning_by_protocol,
-            packets_by_protocol=packets_by_protocol,
-            config=self.config,
-            rsdos_truth=rsdos_truth,
-        )
-
-    # -- population (shared by both capture paths) -----------------------
+    # -- population ---------------------------------------------------------
 
     def _partition_registry(self) -> Dict[ProtocolId, List[SourceInfo]]:
         """Assign telescope-visiting registry attackers to protocols.
@@ -600,86 +573,3 @@ class NetworkTelescope:
             seconds=time.perf_counter() - start, events=len(records),
         )
         return records, packets, timing
-
-    # -- reference (strictly-serial oracle) -------------------------------
-
-    def _emit_rsdos_backscatter(
-        self, writer: FlowTupleWriter
-    ) -> List[SpoofedDosAttack]:
-        """Generate the month's spoofed-DoS victims and their backscatter."""
-        stream = self._stream.child("rsdos")
-        generator = BackscatterGenerator(
-            self.config.dark_prefix, self.config.seed,
-            packet_scale=self.config.packet_scale,
-        )
-        attacks: List[SpoofedDosAttack] = []
-        for day in range(self.config.days):
-            for _ in range(self.config.rsdos_attacks_per_day):
-                attack = SpoofedDosAttack(
-                    victim=self._allocator.allocate(),
-                    victim_port=stream.choice([80, 443, 53, 22, 25565]),
-                    day=day,
-                    duration_seconds=stream.randint(120, 7_200),
-                    packets_per_second=stream.randint(20_000, 400_000),
-                )
-                generator.emit(attack, writer)
-                attacks.append(attack)
-        return attacks
-
-    # -- internals ---------------------------------------------------------
-
-    def _emit_records(
-        self,
-        writer: FlowTupleWriter,
-        protocol: ProtocolId,
-        sources: List[int],
-        scanning_sources: Set[int],
-        total_packets: int,
-        stream: RandomStream,
-    ) -> int:
-        """Spread a packet budget over sources and days; returns packets."""
-        port = DEFAULT_PORTS[protocol][0]
-        transport = (
-            TransportProtocol.UDP
-            if transport_of(protocol) == TransportKind.UDP
-            else TransportProtocol.TCP
-        )
-        # Zipf-ish activity: a few heavy hitters, a long quiet tail.
-        weights = [1.0 / (rank + 1) for rank in range(len(sources))]
-        weight_sum = sum(weights) or 1.0
-        emitted = 0
-        for rank, source in enumerate(sources):
-            share = max(1, int(total_packets * weights[rank] / weight_sum))
-            recurring = source in scanning_sources or stream.bernoulli(0.3)
-            active_days = (
-                list(range(0, self.config.days, stream.randint(1, 3)))
-                if recurring
-                else sorted(
-                    stream.sample(
-                        range(self.config.days),
-                        min(self.config.days, stream.randint(1, 4)),
-                    )
-                )
-            )
-            per_day = max(1, share // max(1, len(active_days)))
-            for day in active_days:
-                dst = stream.randint(self._dark.first, self._dark.last)
-                record = FlowTupleRecord(
-                    time=day * 86_400 + stream.randint(0, 86_399),
-                    src_ip=source,
-                    dst_ip=dst,
-                    src_port=stream.randint(1024, 65_535),
-                    dst_port=port,
-                    protocol=transport,
-                    ttl=stream.randint(32, 255),
-                    tcp_flags=0x02 if transport == TransportProtocol.TCP else 0,
-                    ip_len=44 if transport == TransportProtocol.TCP else 60,
-                    packet_count=per_day,
-                    is_spoofed=stream.bernoulli(self.config.spoofed_fraction),
-                    is_masscan=stream.bernoulli(self.config.masscan_fraction),
-                    country=self.geo.country_of(source),
-                    asn=self.asn.asn_of(source),
-                )
-                writer.add(record)
-                emitted += per_day
-        return emitted

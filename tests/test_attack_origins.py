@@ -8,7 +8,7 @@ from repro.analysis.attack_origins import (
     duplicate_dns_sources,
 )
 from repro.core.taxonomy import AttackType
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.intel.exonerator import ExoneraTorDB
 from repro.net.geo import GeoRegistry
 from repro.net.rdns import ReverseDns
@@ -26,7 +26,7 @@ def _event(source, day=0, protocol=ProtocolId.COAP,
 class TestDosOrigins:
     def test_only_dos_sources_counted(self):
         geo = GeoRegistry(7)
-        log = EventLog([
+        log = EventStore([
             _event(source=100, attack_type=AttackType.DOS_FLOOD),
             _event(source=200, attack_type=AttackType.REFLECTION),
             _event(source=300, attack_type=AttackType.SCANNING),
@@ -37,7 +37,7 @@ class TestDosOrigins:
 
     def test_protocol_filter(self):
         geo = GeoRegistry(7)
-        log = EventLog([
+        log = EventStore([
             _event(source=100, protocol=ProtocolId.COAP),
             _event(source=200, protocol=ProtocolId.HTTP),
         ])
@@ -60,7 +60,7 @@ class TestDuplicateDns:
         rdns.register(100, "dup.example.net")
         rdns.register(200, "dup.example.net")
         rdns.register(300, "solo.example.net")
-        log = EventLog([_event(100), _event(200), _event(300)])
+        log = EventStore([_event(100), _event(200), _event(300)])
         groups = duplicate_dns_sources(log, rdns)
         assert groups == [{100, 200}]
 
@@ -68,7 +68,7 @@ class TestDuplicateDns:
         rdns = ReverseDns()
         rdns.register(100, "dup.example.net")
         rdns.register(200, "dup.example.net")
-        log = EventLog([_event(100)])  # only one of the pair attacked
+        log = EventStore([_event(100)])  # only one of the pair attacked
         assert duplicate_dns_sources(log, rdns) == []
 
     def test_study_reflection_infrastructure_found(self, quick_study):
@@ -96,7 +96,7 @@ class TestTorAnalysis:
         return db
 
     def test_relay_sources_identified(self):
-        log = EventLog([
+        log = EventStore([
             _event(100, protocol=ProtocolId.HTTP,
                    attack_type=AttackType.WEB_SCRAPING),
             _event(200, protocol=ProtocolId.HTTP,
@@ -113,7 +113,7 @@ class TestTorAnalysis:
             for d in range(5)
         ] + [_event(200, day=0, protocol=ProtocolId.HTTP)]
         analysis = analyze_tor_sources(
-            EventLog(events), self._db({100, 200}), recurring_days=3
+            EventStore(events), self._db({100, 200}), recurring_days=3
         )
         assert analysis.recurring_relays == {100}
 
@@ -122,7 +122,7 @@ class TestTorAnalysis:
         for day in range(10):
             for _ in range(day + 1):  # growing volume
                 events.append(_event(100, day=day, protocol=ProtocolId.HTTP))
-        analysis = analyze_tor_sources(EventLog(events), self._db({100}))
+        analysis = analyze_tor_sources(EventStore(events), self._db({100}))
         assert analysis.trend_ratio() > 1.0
 
     def test_study_tor_sources_present(self, quick_study):

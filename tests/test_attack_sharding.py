@@ -4,8 +4,9 @@ The attack month shards into per-(honeypot, day) tasks and the telescope
 month into per-(protocol, day) tasks, each drawing from a
 ``RandomStream.derive(unit, day)`` child stream; the merged output must be
 byte-identical for every worker count K.  These tests pin that down across
-two seeds, along with the columnar :class:`EventStore` query surface, the
-``.events`` deprecation shim, and the ``workers`` config/CLI plumbing —
+two seeds, pin each attack task to the scalar oracle in
+``tests/oracles/scalar_attack_task.py``, and cover the columnar
+:class:`EventStore` query surface and the ``workers`` config/CLI plumbing —
 the attack-plane mirror of :mod:`tests.test_sharding`.
 """
 
@@ -26,11 +27,12 @@ from repro.net.geo import GeoRegistry
 from repro.protocols.base import ProtocolId
 from repro.telescope.flowtuple import encode_flowtuple
 from repro.telescope.telescope import NetworkTelescope, TelescopeConfig
+from tests.oracles.scalar_attack_task import scalar_attack_task
 
 
-def _run_month(seed, workers=1, reference=False):
-    """A fresh world + scheduler per run: both paths consume the same
-    named streams and the fabric/servers carry per-run state."""
+def _run_month(seed, workers=1):
+    """A fresh world + scheduler per run: the fabric and servers carry
+    per-run state."""
     population = PopulationBuilder(
         PopulationConfig(seed=seed, scale=8192, honeypot_scale=256)
     ).build()
@@ -40,7 +42,7 @@ def _run_month(seed, workers=1, reference=False):
         population.internet, deployment, population,
         AttackScheduleConfig(seed=seed, attack_scale=128, workers=workers),
     )
-    result = scheduler.run_reference() if reference else scheduler.run()
+    result = scheduler.run()
     deployment.detach(population.internet)
     return result, deployment, scheduler
 
@@ -66,7 +68,7 @@ def _schedule_fingerprint(result, deployment):
     )
 
 
-def _capture_month(seed, workers=1, reference=False):
+def _capture_month(seed, workers=1):
     registry = ActorRegistry()
     for index in range(40):
         registry.register(SourceInfo(
@@ -82,8 +84,6 @@ def _capture_month(seed, workers=1, reference=False):
                         source_scale=512, packet_scale=131_072,
                         workers=workers),
     )
-    if reference:
-        return telescope.capture_month_reference(), telescope
     return telescope.capture_month(), telescope
 
 
@@ -121,18 +121,6 @@ class TestAttackMonthDeterminism:
         assert {t.unit for t in timings} <= honeypots
         assert all(t.seconds >= 0.0 for t in timings)
 
-    def test_reference_oracle_statistical_parity(self):
-        """The strictly-serial legacy path and the plan/execute path draw
-        payload bytes in different orders, so they are compared on the
-        aggregate ledgers rather than bytes."""
-        sharded, _, _ = _run_month(7, workers=1)
-        reference, _, _ = _run_month(7, reference=True)
-        assert len(sharded.log) == len(reference.log)
-        assert sharded.sessions_attempted == reference.sessions_attempted
-        assert sharded.sessions_dropped == reference.sessions_dropped
-        assert (len(sharded.multistage_sources)
-                == len(reference.multistage_sources))
-
 
 class TestBatchScalarOracle:
     @pytest.mark.parametrize("seed", [7, 23])
@@ -167,8 +155,8 @@ class TestBatchScalarOracle:
             if not sessions:
                 continue
             batch = scheduler._run_task(lab[name], day, sessions)
-            scalar = scheduler._run_task(
-                lab[name], day, sessions, batch=False
+            scalar = scalar_attack_task(
+                scheduler._worker_state(), (name, day, sessions)
             )
             assert batch.events == scalar.events, (name, day)
             assert batch.attempted == scalar.attempted
@@ -193,13 +181,6 @@ class TestTelescopeDeterminism:
         for workers in (2, 5):
             sharded, _ = _capture_month(seed, workers=workers)
             assert _capture_fingerprint(sharded) == baseline, f"K={workers}"
-
-    def test_reference_oracle_rsdos_truth_matches(self):
-        """RSDoS attack specs are planned before emission, so the sharded
-        path reproduces the reference ground truth exactly."""
-        capture, _ = _capture_month(7, workers=1)
-        reference, _ = _capture_month(7, reference=True)
-        assert capture.rsdos_truth == reference.rsdos_truth
 
     def test_task_timings_cover_protocols_and_rsdos(self):
         capture, telescope = _capture_month(7, workers=3)
@@ -228,15 +209,6 @@ def _store():
 
 
 class TestEventStoreShim:
-    def test_events_property_warns_deprecation(self):
-        store = _store()
-        with pytest.deprecated_call():
-            events = store.events
-        assert len(events) == 3
-        # Duck-compatible with the old list-of-AttackEvent shape.
-        assert events[0].protocol == ProtocolId.TELNET
-        assert events[0].source_text == "0.0.0.1"
-
     def test_multistage_candidates_memoized_and_invalidated(self):
         store = _store()
         first = store.multistage_candidates()

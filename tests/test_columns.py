@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -339,47 +338,6 @@ class TestBackendParity:
         assert list(writer.sorted_canonical().records()) == _python_sorted(
             records, _FLOW_KEY
         )
-
-
-# ---------------------------------------------------------------------------
-# Deprecation shims: exactly one warning each, with a removal release
-# ---------------------------------------------------------------------------
-
-class TestDeprecationShims:
-    def _single_warning(self, trigger, match):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            trigger()
-        deprecations = [
-            entry for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert match in message
-        assert "removed in repro 2.0" in message
-        return message
-
-    def test_scan_records_shim_warns_once(self):
-        database = ScanDatabase()
-        message = self._single_warning(
-            lambda: database.records, "ScanDatabase.records"
-        )
-        assert "iter_rows" in message
-
-    def test_event_store_shim_warns_once(self):
-        store = EventStore()
-        message = self._single_warning(
-            lambda: store.events, "EventStore.events"
-        )
-        assert "iter_rows" in message
-
-    def test_seed_shim_warns_once(self):
-        message = self._single_warning(
-            lambda: StudyConfig(seed=13, telescope=TelescopeConfig(seed=7)),
-            "TelescopeConfig(seed=7)",
-        )
-        assert "seed=None" in message
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from repro import PhaseOrderError, Study, StudyConfig
+from repro import ConfigError, PhaseOrderError, Study, StudyConfig
+from repro.attacks.schedule import AttackScheduleConfig
 from repro.core.engine import (
     EngineError,
     PhaseCache,
@@ -16,6 +17,7 @@ from repro.core.engine import (
     config_fingerprint,
 )
 from repro.core.report import render_table4
+from repro.internet.population import PopulationConfig
 from repro.net.prng import DEFAULT_SEED, RandomStream
 from repro.scanner.zmap import ScanConfig
 from repro.telescope.telescope import TelescopeConfig
@@ -258,17 +260,17 @@ class TestSeedSentinel:
         assert config.telescope.seed == 13
 
     def test_explicit_subseed_wins_even_when_legacy_default(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = StudyConfig(
-                seed=13, scan=ScanConfig(seed=7)
-            )
+        config = StudyConfig(seed=13, scan=ScanConfig(seed=7))
         assert config.scan.seed == 7  # no longer silently overwritten
         assert config.population.seed == 13
 
     def test_legacy_default_collision_warns(self):
-        with pytest.warns(DeprecationWarning, match="seed=None"):
-            StudyConfig(seed=13, telescope=TelescopeConfig(seed=7))
+        """An explicit sub-seed equal to the default is kept, silently."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            config = StudyConfig(seed=13, telescope=TelescopeConfig(seed=7))
+        assert config.telescope.seed == 7
+        assert config.population.seed == 13
 
     def test_explicit_nondefault_subseed_never_warns(self):
         with warnings.catch_warnings():
@@ -287,6 +289,35 @@ class TestSeedSentinel:
         config = StudyConfig.quick(seed=99)
         assert {config.population.seed, config.scan.seed,
                 config.attacks.seed, config.telescope.seed} == {99}
+
+
+class TestConfigValidation:
+    """Every config rejects a bad seed or telescope input at construction,
+    with the same typed :class:`ConfigError`."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: StudyConfig(seed=-1), id="StudyConfig.seed"),
+        pytest.param(lambda: ScanConfig(seed=-1), id="ScanConfig.seed"),
+        pytest.param(lambda: AttackScheduleConfig(seed=-1),
+                     id="AttackScheduleConfig.seed"),
+        pytest.param(lambda: PopulationConfig(seed=-1),
+                     id="PopulationConfig.seed"),
+        pytest.param(lambda: TelescopeConfig(seed=-1),
+                     id="TelescopeConfig.seed"),
+        pytest.param(lambda: TelescopeConfig(dark_prefix="bogus"),
+                     id="TelescopeConfig.dark_prefix"),
+        pytest.param(lambda: TelescopeConfig(days=0),
+                     id="TelescopeConfig.days"),
+        pytest.param(lambda: TelescopeConfig(spoofed_fraction=1.5),
+                     id="TelescopeConfig.spoofed_fraction"),
+        pytest.param(lambda: TelescopeConfig(masscan_fraction=-0.1),
+                     id="TelescopeConfig.masscan_fraction"),
+        pytest.param(lambda: TelescopeConfig(rsdos_attacks_per_day=-1),
+                     id="TelescopeConfig.rsdos_attacks_per_day"),
+    ])
+    def test_invalid_input_raises_config_error(self, build):
+        with pytest.raises(ConfigError):
+            build()
 
 
 class TestEngineDirectUse:

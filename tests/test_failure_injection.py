@@ -16,7 +16,7 @@ from repro.analysis.multistage import detect_multistage
 from repro.attacks.actors import ActorRegistry
 from repro.attacks.malware import MalwareCorpus
 from repro.core.taxonomy import Misconfig
-from repro.honeypots.events import EventLog
+from repro.honeypots.events import EventStore
 from repro.internet.fabric import SimulatedInternet
 from repro.internet.host import SimulatedHost
 from repro.intel.virustotal import VirusTotalDB
@@ -73,8 +73,11 @@ class TestScannerResilience:
         host = SimulatedHost(
             address=ip_to_int("9.9.9.9"), services={23: GarbageServer(junk)},
         )
-        scanner = InternetScanner(SimulatedInternet([host]))
-        records = scanner.scan_protocol(ProtocolId.TELNET)
+        scanner = InternetScanner(
+            SimulatedInternet([host]),
+            ScanConfig(protocols=(ProtocolId.TELNET,)),
+        )
+        records = list(scanner.run_campaign())
         assert len(records) == 1
         # Classification and fingerprinting must not raise.
         classify_record(records[0])
@@ -84,8 +87,10 @@ class TestScannerResilience:
         host = SimulatedHost(
             address=ip_to_int("9.9.9.10"), services={1883: DyingServer()},
         )
-        scanner = InternetScanner(SimulatedInternet([host]))
-        records = scanner.scan_protocol(ProtocolId.MQTT)
+        scanner = InternetScanner(
+            SimulatedInternet([host]), ScanConfig(protocols=(ProtocolId.MQTT,))
+        )
+        records = list(scanner.run_campaign())
         assert len(records) == 1
         assert records[0].response == b""
         assert classify_record(records[0]) == Misconfig.NONE
@@ -105,9 +110,11 @@ class TestScannerResilience:
         ]
         net = SimulatedInternet(hosts, loss_rate=0.99,
                                 loss_stream=RandomStream(1, "loss"))
-        scanner = InternetScanner(net, ScanConfig(udp_retries=0))
+        scanner = InternetScanner(
+            net, ScanConfig(protocols=(ProtocolId.TELNET,), udp_retries=0)
+        )
         # Nothing to assert beyond "terminates and undercounts".
-        records = scanner.scan_protocol(ProtocolId.TELNET)
+        records = list(scanner.run_campaign())
         assert len(records) <= len(hosts)
 
 
@@ -123,7 +130,7 @@ class TestAnalysisOnEmptyInputs:
         assert report.rows(GeoRegistry(1)) == []
 
     def test_multistage_empty_log(self):
-        report = detect_multistage(EventLog(), ReverseDns())
+        report = detect_multistage(EventStore(), ReverseDns())
         assert report.total == 0
         assert report.stage_counts() == []
         assert report.starting_protocols() == {}
@@ -138,7 +145,7 @@ class TestAnalysisOnEmptyInputs:
         ).capture_month()
         virustotal = VirusTotalDB.build_from(registry, MalwareCorpus(1))
         report = analyze_infected_hosts(
-            set(), EventLog(), telescope, virustotal,
+            set(), EventStore(), telescope, virustotal,
         )
         assert report.total_infected_misconfigured == 0
         assert report.virustotal_flagged_fraction == 0.0

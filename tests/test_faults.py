@@ -717,7 +717,7 @@ class TestDegradePolicy:
 
 
 # ---------------------------------------------------------------------------
-# ProbeLossModel pickling and the columnar deprecation shims
+# ProbeLossModel pickling
 # ---------------------------------------------------------------------------
 
 class TestProbeLossModelPickle:
@@ -734,38 +734,6 @@ class TestProbeLossModelPickle:
             pass
         assert [clone.lost(1, 3, 23, "syn") for _ in range(16)] == [
             model.lost(1, 3, 23, "syn") for _ in range(16)
-        ]
-
-
-class TestColumnarShims:
-    def test_events_shim_warns_and_returns_rows(self):
-        from repro.core.taxonomy import AttackType
-        from repro.honeypots.events import AttackEvent, EventStore
-        from repro.protocols.base import ProtocolId
-
-        store = EventStore()
-        store.add(AttackEvent(honeypot="Cowrie", protocol=ProtocolId.TELNET,
-                              source=1, day=0, timestamp=10.0,
-                              attack_type=AttackType.DICTIONARY))
-        with pytest.warns(DeprecationWarning, match="EventStore.events"):
-            events = store.events
-        assert [e.source for e in events] == [
-            row.source for row in store.iter_rows()
-        ]
-
-    def test_records_shim_warns_and_returns_rows(self):
-        from repro.protocols.base import ProtocolId, TransportKind
-        from repro.scanner.records import ScanDatabase, ScanRecord
-
-        database = ScanDatabase()
-        database.add(ScanRecord(address=1, port=23,
-                                protocol=ProtocolId.TELNET,
-                                transport=TransportKind.TCP, banner=b"login:",
-                                response=b"", timestamp=0, source="zmap"))
-        with pytest.warns(DeprecationWarning, match="ScanDatabase.records"):
-            records = database.records
-        assert [r.address for r in records] == [
-            row.address for row in database.iter_rows()
         ]
 
 

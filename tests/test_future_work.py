@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.recurrence import RecurrenceClassifier, RecurrencePattern
 from repro.core.taxonomy import AttackType, TrafficClass
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.internet.population import PopulationBuilder, PopulationConfig
 from repro.net.geo import GeoRegistry
 from repro.protocols.base import ProtocolId
@@ -101,8 +101,8 @@ class TestDistributedScanning:
 
 class TestRecurrenceClassifier:
     def _log(self, visits):
-        """visits: {source: [days]} → EventLog."""
-        log = EventLog()
+        """visits: {source: [days]} → EventStore."""
+        log = EventStore()
         for source, days in visits.items():
             for day in days:
                 log.add(AttackEvent(

@@ -7,7 +7,7 @@ from repro.core.taxonomy import AttackType
 from repro.honeypots.base import SessionTranscript
 from repro.honeypots.classify import FLOOD_SESSION_THRESHOLD, classify_session
 from repro.honeypots.deployment import HONEYPOT_NAMES, build_deployment
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.internet.fabric import SimulatedInternet
 from repro.net.ipv4 import ip_to_int
 from repro.protocols.base import ProtocolId
@@ -178,7 +178,7 @@ class TestEventLog:
         )
 
     def test_count_aggregations(self):
-        log = EventLog([
+        log = EventStore([
             self._event(source=1), self._event(source=2),
             self._event(honeypot="HosTaGe", protocol=ProtocolId.MQTT,
                         source=1, day=2),
@@ -189,7 +189,7 @@ class TestEventLog:
         assert log.unique_sources(honeypot="HosTaGe") == {1}
 
     def test_count_by_type_filterable(self):
-        log = EventLog([
+        log = EventStore([
             self._event(attack_type=AttackType.BRUTE_FORCE),
             self._event(protocol=ProtocolId.TELNET,
                         attack_type=AttackType.SCANNING),
@@ -197,7 +197,7 @@ class TestEventLog:
         assert log.count_by_type(ProtocolId.SSH) == {AttackType.BRUTE_FORCE: 1}
 
     def test_multistage_candidates_require_two_protocols(self):
-        log = EventLog([
+        log = EventStore([
             self._event(source=5, protocol=ProtocolId.SSH, timestamp=10),
             self._event(source=5, protocol=ProtocolId.SMB, timestamp=20),
             self._event(source=6, protocol=ProtocolId.SSH),
@@ -209,5 +209,5 @@ class TestEventLog:
     def test_malware_hashes_collected(self):
         event = self._event()
         event.malware_hash = "ab" * 32
-        log = EventLog([event, self._event()])
+        log = EventStore([event, self._event()])
         assert log.malware_hashes() == {"ab" * 32}

@@ -8,7 +8,7 @@ from repro.analysis.listing_impact import (
 )
 from repro.core.taxonomy import AttackType
 from repro.honeypots.deployment import build_deployment
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.net.errors import ConfigError
 from repro.protocols.base import ProtocolId
 from repro.scanner.rate import ROUTABLE_IPV4_ADDRESSES, ScanRateModel
@@ -31,7 +31,7 @@ class TestListingEffect:
 class TestListingImpactAnalysis:
     def _synthetic_log(self, deployment, before_rate, after_rate,
                        listing_day=10):
-        log = EventLog()
+        log = EventStore()
         cowrie = deployment.get("Cowrie")
         cowrie.listing_days = {"Shodan": listing_day}
         source = 0

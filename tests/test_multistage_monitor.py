@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.multistage import detect_multistage
 from repro.core.taxonomy import AttackType
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.honeypots.multistage_monitor import MultistageMonitor
 from repro.protocols.base import ProtocolId
 
@@ -67,7 +67,7 @@ class TestMonitor:
         assert alert.honeypots == ("Cowrie", "Dionaea")
 
     def test_replay_orders_by_time(self):
-        log = EventLog([
+        log = EventStore([
             _event(5, ProtocolId.SMB, timestamp=10),
             _event(5, ProtocolId.TELNET, timestamp=1),  # earlier
         ])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.taxonomy import AttackType
-from repro.honeypots.events import AttackEvent, EventLog
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.protocols.base import ProtocolId
 from repro.telescope.flowtuple import decode_flowtuple
 
@@ -54,13 +54,13 @@ class TestEventJson:
 
 class TestEventLogJsonl:
     def test_round_trip_preserves_aggregations(self):
-        log = EventLog([
+        log = EventStore([
             _event(day=0), _event(day=1, source=1),
             _event(day=1, protocol=ProtocolId.TELNET,
                    attack_type=AttackType.MALWARE_DROP,
                    malware_hash="cd" * 32),
         ])
-        loaded = EventLog.from_jsonl(log.to_jsonl())
+        loaded = EventStore.from_jsonl(log.to_jsonl())
         assert len(loaded) == len(log)
         assert loaded.count_by_day() == log.count_by_day()
         assert loaded.count_by_honeypot_protocol() == (
@@ -68,16 +68,16 @@ class TestEventLogJsonl:
         assert loaded.malware_hashes() == log.malware_hashes()
 
     def test_empty_log(self):
-        assert len(EventLog.from_jsonl("")) == 0
-        assert EventLog().to_jsonl() == ""
+        assert len(EventStore.from_jsonl("")) == 0
+        assert EventStore().to_jsonl() == ""
 
     def test_blank_lines_skipped(self):
         text = _event().to_json() + "\n\n" + _event(day=9).to_json() + "\n"
-        assert len(EventLog.from_jsonl(text)) == 2
+        assert len(EventStore.from_jsonl(text)) == 2
 
     def test_study_log_round_trips(self, quick_study):
         log = quick_study.schedule.log
-        loaded = EventLog.from_jsonl(log.to_jsonl())
+        loaded = EventStore.from_jsonl(log.to_jsonl())
         assert len(loaded) == len(log)
         assert loaded.unique_sources() == log.unique_sources()
         assert loaded.count_by_type() == log.count_by_type()

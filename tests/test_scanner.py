@@ -21,6 +21,13 @@ from repro.scanner.zmap import SCAN_START_DAY, InternetScanner, ScanConfig
 from repro.scanner.ztag import TagEngine, TagSignature
 
 
+def _campaign(net, protocol, udp_retries=1, **scanner_kwargs):
+    """Rows of a one-protocol campaign on the shipping (sharded) path."""
+    config = ScanConfig(protocols=(protocol,), udp_retries=udp_retries)
+    scanner = InternetScanner(net, config, **scanner_kwargs)
+    return list(scanner.run_campaign())
+
+
 def _telnet_host(text):
     return SimulatedHost(
         address=ip_to_int(text),
@@ -46,10 +53,7 @@ class TestProbes:
 class TestScanner:
     def test_finds_open_telnet(self):
         net = SimulatedInternet([_telnet_host("1.2.3.4")])
-        scanner = InternetScanner(
-            net, ScanConfig(protocols=(ProtocolId.TELNET,))
-        )
-        records = scanner.scan_protocol(ProtocolId.TELNET)
+        records = _campaign(net, ProtocolId.TELNET)
         assert len(records) == 1
         assert records[0].address == ip_to_int("1.2.3.4")
         assert b"$" in records[0].banner
@@ -59,29 +63,26 @@ class TestScanner:
             address=ip_to_int("1.2.3.5"),
             services={1883: MqttBroker(MqttConfig(auth_required=False))},
         )
-        scanner = InternetScanner(SimulatedInternet([host]))
-        records = scanner.scan_protocol(ProtocolId.MQTT)
+        records = _campaign(SimulatedInternet([host]), ProtocolId.MQTT)
         assert records[0].response[0] >> 4 == 2  # CONNACK
 
     def test_blocklist_skips_targets(self):
         net = SimulatedInternet([_telnet_host("1.2.3.4")])
         blocklist = CidrBlocklist([CidrBlock.parse("1.0.0.0/8")])
-        scanner = InternetScanner(net, blocklist=blocklist)
-        assert scanner.scan_protocol(ProtocolId.TELNET) == []
+        assert _campaign(net, ProtocolId.TELNET, blocklist=blocklist) == []
 
     def test_host_filter(self):
         hosts = [_telnet_host("1.2.3.4"), _telnet_host("1.2.3.5")]
         net = SimulatedInternet(hosts)
-        scanner = InternetScanner(
-            net, host_filter=lambda a: a == ip_to_int("1.2.3.4")
+        records = _campaign(
+            net, ProtocolId.TELNET,
+            host_filter=lambda a: a == ip_to_int("1.2.3.4"),
         )
-        records = scanner.scan_protocol(ProtocolId.TELNET)
         assert [r.address for r in records] == [ip_to_int("1.2.3.4")]
 
     def test_timestamps_follow_scan_calendar(self):
         net = SimulatedInternet([_telnet_host("1.2.3.4")])
-        scanner = InternetScanner(net)
-        records = scanner.scan_protocol(ProtocolId.TELNET)
+        records = _campaign(net, ProtocolId.TELNET)
         assert records[0].timestamp == SCAN_START_DAY[ProtocolId.TELNET] * 86_400
 
     def test_udp_retry_recovers_loss(self):
@@ -96,9 +97,7 @@ class TestScanner:
             [host], loss_rate=0.4, loss_stream=RandomStream(5, "loss")
         )
         found_with_retries = len(
-            InternetScanner(net, ScanConfig(udp_retries=6)).scan_protocol(
-                ProtocolId.COAP
-            )
+            _campaign(net, ProtocolId.COAP, udp_retries=6)
         )
         assert found_with_retries == 1
 

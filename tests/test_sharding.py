@@ -1,15 +1,14 @@
-"""Sharded-scan determinism: the property this PR exists to guarantee.
+"""Sharded-scan determinism: the property the scan plane is built on.
 
 The scan pipeline may partition a sweep into K concurrent shards, but the
 merged :class:`~repro.scanner.records.ScanDatabase` must be byte-identical
-for every K (and for the serial reference path).  These tests pin that
-down, along with the keyed-PRNG mechanics that make it possible and the
-columnar query API the rest of the pipeline now consumes.
+for every K and for the strictly-serial walk kept in
+``tests/oracles/serial_scan.py``.  These tests pin that down, along with
+the keyed-PRNG mechanics that make it possible and the columnar query API
+the rest of the pipeline now consumes.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -28,6 +27,7 @@ from repro.scanner.zmap import (
     ScanConfig,
     scan_start_day,
 )
+from tests.oracles.serial_scan import serial_scan
 
 _LOSSY = dict(scale=16_384, honeypot_scale=512, loss_rate=0.12)
 
@@ -66,7 +66,7 @@ class TestShardDeterminism:
         scanner = InternetScanner(_world(7).internet, ScanConfig())
         reference = ScanDatabase()
         for protocol in scanner.config.protocols:
-            reference.extend(scanner.scan_protocol(protocol))
+            reference.extend(serial_scan(scanner, protocol))
         _, sharded = _campaign(7, shards=3)
         assert reference.sorted_canonical().to_jsonl() == sharded.to_jsonl()
 
@@ -209,14 +209,6 @@ class TestColumnarDatabase:
         ) or len(rows) == 3
         assert rows[0].address == 1
         assert rows[0].banner_text == "login:"
-
-    def test_records_property_warns_deprecation(self, database):
-        with pytest.deprecated_call():
-            records = database.records
-        assert len(records) == 3
-        # Duck-compatible with the old list-of-ScanRecord shape.
-        assert records[0].protocol == ProtocolId.TELNET
-        assert records[0].banner_text == "login:"
 
     def test_row_write_through(self, database):
         row = database.row(0)
