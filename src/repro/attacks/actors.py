@@ -22,7 +22,7 @@ truth the way GreyNoise disagreed with the paper's classification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.taxonomy import TrafficClass
 from repro.net.ipv4 import int_to_ip
@@ -106,7 +106,3 @@ class ActorRegistry:
         return [
             info for info in self._sources.values() if info.infected_misconfigured
         ]
-
-    def censys_iot_sources(self) -> List[SourceInfo]:
-        """Sources that only Censys's IoT labels identify as devices."""
-        return [info for info in self._sources.values() if info.censys_iot]

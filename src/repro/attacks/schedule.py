@@ -49,9 +49,9 @@ from repro.core.scaling import apportion, scale_count
 from repro.core.tasks import (
     EXECUTORS,
     ExecutorStats,
-    ProcessPlan,
     TaskDeadline,
     TaskJournal,
+    TaskPlan,
     TaskRef,
     TaskTiming,
     run_tasks,
@@ -865,13 +865,14 @@ class AttackScheduler:
         }
 
     def _worker_state(self) -> "_AttackWorkerState":
-        """The execution-state view every worker runs tasks against.
+        """The execution state every (honeypot, day) task runs against.
 
-        Thread workers share the live objects; the process plan pickles
-        the same state once per worker.  Both are equivalent: tasks only
-        *read* it (services are deep-copied per task, variants are minted
-        through per-task views) and every field is a pure function of
-        the config, not of execution order.
+        It is the batch's :class:`~repro.core.tasks.TaskPlan` context: the
+        serial rung runs tasks against these live objects, and the
+        process rung pickles the same state once per worker.  Both are
+        equivalent: tasks only *read* it (services are deep-copied per
+        task, variants are minted through per-task views) and every field
+        is a pure function of the config, not of execution order.
         """
         return _AttackWorkerState(
             stream=self._stream,
@@ -886,24 +887,6 @@ class AttackScheduler:
                 )
                 for honeypot in self.deployment.honeypots
             },
-        )
-
-    def _run_task(
-        self,
-        honeypot: LabHoneypot,
-        day: int,
-        sessions: List[PlannedSession],
-    ) -> _TaskOutcome:
-        """Execute one (honeypot, day) task against cloned services.
-
-        Everything the task draws comes from ``stream.derive(name, day)``
-        (payloads) and ``stream.derive(name, day, "ts")`` (timestamps)
-        and everything it touches is task-private, so the outcome is a
-        pure function of (seed, honeypot, day, session plan) regardless
-        of which worker runs it when.
-        """
-        return _execute_attack_task(
-            self._worker_state(), (honeypot.name, day, sessions)
         )
 
     @staticmethod
@@ -945,27 +928,23 @@ class AttackScheduler:
                 day for (name, day) in plan if name == honeypot.name
             )
             ordered.extend((honeypot, day) for day in days)
-        state = self._worker_state()
-        payloads = [
-            (honeypot.name, day, plan[(honeypot.name, day)])
-            for honeypot, day in ordered
-        ]
-        thunks = [
-            (lambda p=payload: _execute_attack_task(state, p))
-            for payload in payloads
-        ]
         refs = [
             TaskRef("attacks", honeypot.name, day)
             for honeypot, day in ordered
         ]
         outcomes = run_tasks(
-            thunks, self.config.workers,
+            TaskPlan(
+                run=_execute_attack_task,
+                payloads=[
+                    (honeypot.name, day, plan[(honeypot.name, day)])
+                    for honeypot, day in ordered
+                ],
+                context=self._worker_state(),
+            ),
+            self.config.workers,
             refs=refs, retries=self.config.retries, journal=journal,
             deadline=deadline,
             executor=self.config.executor,
-            process_plan=ProcessPlan(
-                run=_attack_worker_run, context=state, payloads=payloads,
-            ),
             stats=self.executor_stats,
         )
         self.task_timings = [outcome.timing for outcome in outcomes]
@@ -1025,10 +1004,10 @@ class AttackScheduler:
 
 @dataclass
 class _AttackWorkerState:
-    """Picklable execution state shared by every attack worker.
+    """Picklable execution state shared by every attack task.
 
-    Thread workers receive the scheduler's live objects; the process
-    plan pickles the same state once per worker.  Tasks only read it:
+    The serial rung runs tasks against the scheduler's live objects; the
+    process rung pickles the same state once per worker.  Tasks only read it:
     services are deep-copied per task, "new variant" malware is minted
     through per-task :class:`TaskCorpusView`\\ s, and the loss draws are
     keyed functions of the loss model's identity — so a pickled copy is
@@ -1041,11 +1020,6 @@ class _AttackWorkerState:
     loss_rate: float
     #: honeypot name -> (address, pristine services table, want_pcap).
     honeypots: Dict[str, Tuple[int, Dict[int, object], bool]]
-
-
-def _attack_worker_run(state: _AttackWorkerState, payload) -> _TaskOutcome:
-    """Process-pool entry point: one ``(honeypot, day, sessions)`` task."""
-    return _execute_attack_task(state, payload)
 
 
 def _payload_runs(payloads: List[bytes]):
@@ -1188,13 +1162,16 @@ def _drive_udp_batch(
 def _execute_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
     """Execute one ``(honeypot, day, sessions)`` task against cloned services.
 
-    The worker-agnostic core behind :meth:`AttackScheduler._run_task`:
-    payload draws come from ``stream.derive(name, day)``, the day's
-    timestamps from one vectorized block on ``stream.derive(name, day,
-    "ts")``, and identical-payload runs collapse to ``handle_repeat``
-    fast paths with repeated transcripts classified once per distinct
-    exchange sequence.  ``tests/oracles/scalar_attack_task.py`` keeps the
-    per-event, per-payload version this path is pinned against.
+    The ``run`` of the month's :class:`~repro.core.tasks.TaskPlan`, on
+    either executor rung.  Everything the task touches is task-private,
+    so the outcome is a pure function of (seed, honeypot, day, session
+    plan) regardless of which worker runs it when.  Payload draws come
+    from ``stream.derive(name, day)``, the day's timestamps from one
+    vectorized block on ``stream.derive(name, day, "ts")``, and
+    identical-payload runs collapse to ``handle_repeat`` fast paths with
+    repeated transcripts classified once per distinct exchange sequence.
+    ``tests/oracles/scalar_attack_task.py`` keeps the per-event,
+    per-payload version this path is pinned against.
     """
     honeypot_name, day, sessions = payload
     honeypot_address, pristine, want_pcap = state.honeypots[honeypot_name]

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 import threading
 import time
 from collections import OrderedDict
@@ -59,20 +58,15 @@ from typing import (
 
 from repro.core import faults
 from repro.core.config import StudyConfig
-from repro.core.integrity import (
-    QuarantineRecord,
-    quarantine_file,
-    unwrap_envelope,
-    wrap_envelope,
-)
+from repro.core.integrity import QuarantineRecord, quarantine_file
 from repro.core.metrics import PhaseMetric, StudyMetrics
-from repro.core.tasks import TaskDeadline, TaskJournal
-from repro.net.errors import (
-    EngineError,
-    EnvelopeError,
-    FaultError,
-    PhaseOrderError,
+from repro.core.tasks import (
+    TaskDeadline,
+    TaskJournal,
+    read_sealed,
+    write_sealed,
 )
+from repro.net.errors import EngineError, PhaseOrderError
 
 __all__ = [
     "PhaseSpec",
@@ -416,32 +410,16 @@ class PhaseCache:
         path = self._disk_path(key)
         if path is None:
             return None
-        try:
-            faults.maybe_fail("cache.io", "phase.load", key)
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except (OSError, FaultError):
-            return None  # absent entry or degraded I/O: plain miss
-        blob = faults.maybe_corrupt(blob, "phase.load", key)
-        try:
-            payload = unwrap_envelope(
-                blob,
-                schema=ENGINE_SCHEMA_VERSION,
-                kind="phase",
-                key=key,
-                fingerprint=fingerprint,
-            )
-        except EnvelopeError as error:
-            self._quarantine(path, key, error.reason)
-            return None
-        try:
-            artifacts = pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError, TypeError):
-            self._quarantine(path, key, "unpicklable")
+        quarantine = functools.partial(self._quarantine, path, key)
+        found, artifacts = read_sealed(
+            path, stage="phase.load", schema=ENGINE_SCHEMA_VERSION,
+            kind="phase", key=key, fingerprint=fingerprint,
+            quarantine=quarantine,
+        )
+        if not found:
             return None
         if not isinstance(artifacts, dict):
-            self._quarantine(path, key, "malformed-payload")
+            quarantine("malformed-payload")
             return None
         return artifacts
 
@@ -451,33 +429,11 @@ class PhaseCache:
         path = self._disk_path(key)
         if path is None:
             return
-        try:
-            faults.maybe_fail("cache.io", "phase.dump", key)
-            blob = wrap_envelope(
-                pickle.dumps(artifacts, pickle.HIGHEST_PROTOCOL),
-                schema=ENGINE_SCHEMA_VERSION,
-                kind="phase",
-                key=key,
-                fingerprint=fingerprint,
-            )
-            blob = faults.maybe_corrupt(blob, "phase.dump", key)
-            os.makedirs(self.directory, exist_ok=True)
-            fd, temp = tempfile.mkstemp(
-                dir=self.directory, suffix=".pkl.tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(temp, path)
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
-        except (OSError, FaultError, pickle.PicklingError, AttributeError,
-                TypeError, RecursionError):
-            pass  # disk layer is best-effort
+        # The disk layer is best-effort: a skipped write is a later miss.
+        write_sealed(
+            path, artifacts, stage="phase.dump", schema=ENGINE_SCHEMA_VERSION,
+            kind="phase", key=key, fingerprint=fingerprint,
+        )
 
 
 _DEFAULT_CACHE = PhaseCache()

@@ -18,13 +18,13 @@ durations.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.core.integrity import QuarantineRecord
 from repro.core.tasks import (
-    ChunkTiming,
     ExecutorStats,
     SupervisorEvent,
     TaskDeadline,
@@ -39,8 +39,6 @@ __all__ = [
     "JournalMetric",
     "StoreMetric",
     "OperatorMetric",
-    "ExecutorMetric",
-    "SupervisorMetric",
     "BusMetric",
     "StudyMetrics",
 ]
@@ -165,71 +163,6 @@ class OperatorMetric:
 
 
 @dataclass
-class ExecutorMetric:
-    """One measurement plane's resolved task executor, with chunk walls.
-
-    A frozen copy of the plane's :class:`~repro.core.tasks.ExecutorStats`
-    taken when the phase finishes: which executor actually ran the batch
-    (``serial``/``process`` — ``auto`` resolves before this is
-    recorded), how wide it was, and the per-worker chunk timings the
-    striped scheduler produced.
-    """
-
-    plane: str
-    kind: str
-    workers: int
-    tasks: int
-    seconds: float
-    chunks: List[ChunkTiming] = field(default_factory=list)
-
-    @property
-    def rate(self) -> Optional[float]:
-        """Tasks completed per second of batch wall time."""
-        if self.seconds <= 0:
-            return None
-        return self.tasks / self.seconds
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "plane": self.plane,
-            "kind": self.kind,
-            "workers": self.workers,
-            "tasks": self.tasks,
-            "seconds": round(self.seconds, 6),
-            "tasks_per_second": (
-                round(self.rate, 3) if self.rate is not None else None
-            ),
-            "chunks": [chunk.to_dict() for chunk in self.chunks],
-        }
-
-
-@dataclass
-class SupervisorMetric:
-    """One pool-supervisor intervention, stamped with its plane.
-
-    A :class:`~repro.core.tasks.SupervisorEvent` as recorded into the
-    study-level metrics: which plane's batch the pool restart or executor
-    downgrade happened in, why, at which pool generation, and how many
-    in-flight tasks were requeued.
-    """
-
-    plane: str
-    action: str
-    reason: str
-    generation: int
-    requeued: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "plane": self.plane,
-            "action": self.action,
-            "reason": self.reason,
-            "generation": self.generation,
-            "requeued": self.requeued,
-        }
-
-
-@dataclass
 class BusMetric:
     """One streaming campaign's event-bus overflow/error accounting.
 
@@ -281,11 +214,11 @@ class StudyMetrics:
     #: operator of a campaign-service run.
     operators: List[OperatorMetric] = field(default_factory=list)
     #: Per-plane resolved task executors (kind, width, chunk walls), one
-    #: row per plane that ran a sharded task batch this run.
-    task_executors: List[ExecutorMetric] = field(default_factory=list)
-    #: Pool-supervisor interventions (restarts/downgrades), one row per
-    #: event across every supervised plane batch of the run.
-    supervisor: List[SupervisorMetric] = field(default_factory=list)
+    #: plane-stamped copy per plane that ran a sharded task batch this run.
+    task_executors: List[ExecutorStats] = field(default_factory=list)
+    #: Pool-supervisor interventions (restarts/downgrades), one
+    #: plane-stamped row per event across every supervised plane batch.
+    supervisor: List[SupervisorEvent] = field(default_factory=list)
     #: Event-bus overflow/error accounting of a streamed campaign
     #: (``None`` for plain batch runs).
     bus: Optional[BusMetric] = None
@@ -343,7 +276,7 @@ class StudyMetrics:
         ))
 
     def record_executor(self, plane: str, stats: ExecutorStats) -> None:
-        """Fold one plane's :class:`ExecutorStats` into the run.
+        """Fold a plane-stamped copy of one plane's :class:`ExecutorStats`.
 
         Skips planes that never ran a batch (``tasks == 0``) — a cached
         phase leaves its component's stats empty, and an all-"serial"
@@ -352,23 +285,15 @@ class StudyMetrics:
         restart or downgrade is worth a row even if every task was
         ultimately replayed from the journal.
         """
-        for event in stats.supervisor:
-            self.supervisor.append(SupervisorMetric(
-                plane=plane,
-                action=event.action,
-                reason=event.reason,
-                generation=event.generation,
-                requeued=event.requeued,
-            ))
+        events = [
+            dataclasses.replace(event, plane=plane)
+            for event in stats.supervisor
+        ]
+        self.supervisor.extend(events)
         if stats.tasks == 0:
             return
-        self.task_executors.append(ExecutorMetric(
-            plane=plane,
-            kind=stats.kind,
-            workers=stats.workers,
-            tasks=stats.tasks,
-            seconds=stats.seconds,
-            chunks=list(stats.chunks),
+        self.task_executors.append(dataclasses.replace(
+            stats, plane=plane, chunks=list(stats.chunks), supervisor=events,
         ))
 
     def record_bus(self, bus: object) -> None:

@@ -5,11 +5,16 @@ month into per-(protocol, day) tasks, and the scan campaign into
 per-(protocol, shard) tasks; every task draws from its own
 :meth:`~repro.net.prng.RandomStream.derive` child stream, so its output is
 a pure function of the task key and the tasks can run inline or on a
-process pool in any order.  :func:`run_tasks` is the executor all three
-planes share: results come back in submission order regardless of worker
-count, which is the first half of the byte-identical merge guarantee (the
-second half is the canonical sort each plane applies to the merged
-output).
+process pool in any order.  Each plane describes a batch once, as a
+:class:`TaskPlan` — a module-level ``run(state, payload)`` callable, one
+picklable payload per task, and the ``setup(context)`` that builds the
+state the tasks run against — and :func:`run_tasks` executes that one
+description on either rung: inline against ``setup(context)`` built once
+per batch, or on a process pool whose workers each build the same state
+in their initializer.  Results come back in submission order regardless
+of worker count, which is the first half of the byte-identical merge
+guarantee (the second half is the canonical sort each plane applies to
+the merged output).
 
 Beyond scheduling, ``run_tasks`` is a *supervisor*:
 
@@ -47,7 +52,7 @@ Beyond scheduling, ``run_tasks`` is a *supervisor*:
   the supervisor down the executor ladder — process pool → inline
   serial — and every restart/downgrade is recorded as a
   :class:`SupervisorEvent` on the batch's :class:`ExecutorStats`
-  (surfaced as supervisor rows in ``StudyMetrics``).
+  (``StudyMetrics`` keeps plane-stamped copies of both).
 
 :class:`TaskTiming` is the per-task metrics row surfaced in
 ``StudyMetrics`` (and ``--metrics-json``) so a run can show where the
@@ -111,13 +116,15 @@ __all__ = [
     "ChunkTiming",
     "ExecutorStats",
     "SupervisorEvent",
-    "ProcessPlan",
+    "TaskPlan",
     "EXECUTORS",
     "DEFAULT_RESTART_BUDGET",
     "resolve_executor",
     "pool_supervision",
     "task_checkpoint",
     "paused_gc",
+    "read_sealed",
+    "write_sealed",
     "run_tasks",
 ]
 
@@ -129,6 +136,94 @@ _T = TypeVar("_T")
 JOURNAL_SCHEMA_VERSION = 2
 
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]+")
+
+#: What ``pickle.loads`` raises on a payload that passed its checksum but
+#: still cannot be rebuilt (a class renamed or removed since the write).
+_UNPICKLE_ERRORS = (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError, IndexError, ValueError, TypeError)
+
+
+def read_sealed(
+    path: str,
+    *,
+    stage: str,
+    schema: int,
+    kind: str,
+    key: str,
+    fingerprint: str,
+    quarantine: Callable[[str], None],
+) -> Tuple[bool, object]:
+    """Load one envelope-sealed pickle: ``(True, obj)`` or ``(False, None)``.
+
+    The shared read half of the task journal and the phase cache's disk
+    layer.  An absent file or a ``cache.io`` fault at ``stage`` is a plain
+    miss; a damaged or stale envelope, or a payload that will not
+    unpickle, is a miss too, after ``quarantine(reason)`` moves the file
+    aside with the :class:`~repro.net.errors.EnvelopeError` reason (or
+    ``"unpicklable"``).
+    """
+    try:
+        faults.maybe_fail("cache.io", stage, key)
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except (OSError, FaultError):
+        return False, None  # absent entry or degraded I/O: plain miss
+    blob = faults.maybe_corrupt(blob, stage, key)
+    try:
+        payload = unwrap_envelope(
+            blob, schema=schema, kind=kind, key=key, fingerprint=fingerprint,
+        )
+    except EnvelopeError as error:
+        quarantine(error.reason)
+        return False, None
+    try:
+        return True, pickle.loads(payload)
+    except _UNPICKLE_ERRORS:
+        quarantine("unpicklable")
+        return False, None
+
+
+def write_sealed(
+    path: str,
+    obj: object,
+    *,
+    stage: str,
+    schema: int,
+    kind: str,
+    key: str,
+    fingerprint: str,
+) -> bool:
+    """Pickle ``obj`` into a sealed envelope at ``path``, atomically.
+
+    The shared write half of the task journal and the phase cache's disk
+    layer: ``mkstemp`` + ``os.replace``, so a reader never sees a torn
+    file.  Best-effort — an I/O error, a ``cache.io`` fault at ``stage``
+    or an unpicklable ``obj`` returns ``False`` instead of raising.
+    """
+    directory = os.path.dirname(path)
+    try:
+        faults.maybe_fail("cache.io", stage, key)
+        blob = wrap_envelope(
+            pickle.dumps(obj, pickle.HIGHEST_PROTOCOL),
+            schema=schema, kind=kind, key=key, fingerprint=fingerprint,
+        )
+        blob = faults.maybe_corrupt(blob, stage, key)
+        os.makedirs(directory, exist_ok=True)
+        fd, temp = tempfile.mkstemp(dir=directory, suffix=".pkl.tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(blob)
+            os.replace(temp, path)
+        except BaseException:
+            try:
+                os.unlink(temp)
+            except OSError:
+                pass
+            raise
+    except (OSError, FaultError, pickle.PicklingError, AttributeError,
+            TypeError, RecursionError):
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -215,67 +310,28 @@ class TaskJournal:
         if not self.resume:
             return False, None
         path = self._path(ref)
-        try:
-            faults.maybe_fail("cache.io", "journal.load", ref.key())
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except (OSError, FaultError):
-            return False, None  # absent entry or degraded I/O: plain miss
-        blob = faults.maybe_corrupt(blob, "journal.load", ref.key())
-        try:
-            payload = unwrap_envelope(
-                blob,
-                schema=JOURNAL_SCHEMA_VERSION,
-                kind="journal",
-                key=ref.key(),
-                fingerprint=self.fingerprint,
-            )
-        except EnvelopeError as error:
-            self._quarantine(path, ref, error.reason)
-            return False, None
-        try:
-            result = pickle.loads(payload)
-        except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError, TypeError):
-            self._quarantine(path, ref, "unpicklable")
-            return False, None
-        with self._lock:
-            self.hits += 1
-        return True, result
+        found, result = read_sealed(
+            path, stage="journal.load", schema=JOURNAL_SCHEMA_VERSION,
+            kind="journal", key=ref.key(), fingerprint=self.fingerprint,
+            quarantine=functools.partial(self._quarantine, path, ref),
+        )
+        if found:
+            with self._lock:
+                self.hits += 1
+        return found, result
 
     def store(self, ref: TaskRef, result: object) -> None:
         """Persist one completed task's result atomically (best-effort)."""
-        try:
-            faults.maybe_fail("cache.io", "journal.store", ref.key())
-            blob = wrap_envelope(
-                pickle.dumps(result, pickle.HIGHEST_PROTOCOL),
-                schema=JOURNAL_SCHEMA_VERSION,
-                kind="journal",
-                key=ref.key(),
-                fingerprint=self.fingerprint,
-            )
-            blob = faults.maybe_corrupt(blob, "journal.store", ref.key())
-            os.makedirs(self.directory, exist_ok=True)
-            fd, temp = tempfile.mkstemp(
-                dir=self.directory, suffix=".pkl.tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(blob)
-                os.replace(temp, self._path(ref))
-            except BaseException:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
-                raise
-        except (OSError, FaultError, pickle.PicklingError, AttributeError,
-                TypeError, RecursionError):
-            with self._lock:
-                self.write_errors += 1
-        else:
-            with self._lock:
+        stored = write_sealed(
+            self._path(ref), result, stage="journal.store",
+            schema=JOURNAL_SCHEMA_VERSION, kind="journal", key=ref.key(),
+            fingerprint=self.fingerprint,
+        )
+        with self._lock:
+            if stored:
                 self.stores += 1
+            else:
+                self.write_errors += 1
 
     def __len__(self) -> int:
         try:
@@ -529,9 +585,13 @@ class SupervisorEvent:
     reason: str
     generation: int
     requeued: int
+    #: The plane whose batch it happened in; stamped by
+    #: :meth:`~repro.core.metrics.StudyMetrics.record_executor`.
+    plane: str = ""
 
     def to_dict(self) -> Dict[str, object]:
         return {
+            "plane": self.plane,
             "action": self.action,
             "reason": self.reason,
             "generation": self.generation,
@@ -544,8 +604,10 @@ class ExecutorStats:
     """What actually ran a plane's task batches, and how fast.
 
     One instance accumulates across every :func:`run_tasks` call a plane
-    makes (the scan campaign runs one batch per protocol); ``kind`` keeps
-    the last resolved executor, which is uniform within a plane.
+    makes; ``kind`` keeps the last resolved executor (``auto`` is
+    resolved before anything is recorded), which is uniform within a
+    plane.  ``StudyMetrics`` keeps a plane-stamped copy per plane as its
+    executor row.
     """
 
     kind: str = "serial"
@@ -555,10 +617,16 @@ class ExecutorStats:
     chunks: List[ChunkTiming] = field(default_factory=list)
     #: Pool-supervisor interventions, in occurrence order.
     supervisor: List[SupervisorEvent] = field(default_factory=list)
+    #: The plane that ran the batches; stamped by
+    #: :meth:`~repro.core.metrics.StudyMetrics.record_executor`.
+    plane: str = ""
 
     @property
-    def tasks_per_second(self) -> float:
-        return self.tasks / self.seconds if self.seconds > 0 else 0.0
+    def rate(self) -> Optional[float]:
+        """Tasks completed per second of batch wall time."""
+        if self.seconds <= 0:
+            return None
+        return self.tasks / self.seconds
 
     @property
     def restarts(self) -> int:
@@ -582,29 +650,33 @@ class ExecutorStats:
         self.seconds += seconds
 
     def to_dict(self) -> Dict[str, object]:
+        """The ``task_executors`` row of ``--metrics-json``."""
         return {
+            "plane": self.plane,
             "kind": self.kind,
             "workers": self.workers,
             "tasks": self.tasks,
             "seconds": round(self.seconds, 6),
-            "tasks_per_second": round(self.tasks_per_second, 1),
+            "tasks_per_second": (
+                round(self.rate, 3) if self.rate is not None else None
+            ),
             "chunks": [chunk.to_dict() for chunk in self.chunks],
-            "supervisor": [event.to_dict() for event in self.supervisor],
         }
 
 
 @dataclass(frozen=True)
-class ProcessPlan:
-    """Picklable recipe for running a task batch in worker processes.
+class TaskPlan:
+    """One task batch, described once for both executor rungs.
 
-    Task thunks close over live planes and cannot cross a process
-    boundary; a process plan replaces them with data.  ``context`` is
-    pickled ONCE per worker and handed to ``setup`` in the worker's
-    initializer (world/config built once per worker, not per task);
-    ``run(state, payload)`` then executes one task against the state
-    ``setup`` returned.  ``run`` and ``setup`` must be module-level
-    callables (pickled by reference); ``payloads`` line up with the
-    batch's refs/thunks index for index.
+    ``run(state, payload)`` executes one task against the state
+    ``setup(context)`` returns (``context`` itself when there is no
+    ``setup``).  The serial rung builds that state once per batch in the
+    calling process; the process rung pickles ``context`` once per worker
+    and builds the state in the worker's initializer.  Either way every
+    task runs the same ``run`` on the same state, so the rungs cannot
+    drift apart.  For the pool, ``run`` and ``setup`` must be module-level
+    callables (pickled by reference) and ``context`` and ``payloads``
+    picklable; ``payloads`` line up with the batch's refs index for index.
     """
 
     run: Callable[[Any, Any], Any]
@@ -685,22 +757,16 @@ def task_checkpoint(callback: Optional[Callable[[], None]]) -> Iterator[None]:
         _checkpoint_local.callback = previous
 
 
-def resolve_executor(
-    executor: Optional[str],
-    *,
-    process_plan: Optional[ProcessPlan] = None,
-    workers: int = 1,
-) -> str:
+def resolve_executor(executor: Optional[str], *, workers: int = 1) -> str:
     """Resolve an executor request to a concrete kind.
 
-    ``auto`` picks the process pool when the batch ships a process plan,
-    more than one worker is requested, and the box actually has more than
-    one core to use — otherwise serial.  Output bytes are identical
-    either way; only the wall clock differs.
+    ``auto`` picks the process pool when more than one worker is
+    requested and the box actually has more than one core to use —
+    otherwise serial.  Output bytes are identical either way; only the
+    wall clock differs.
     """
     if executor is None or executor == "auto":
-        if (process_plan is not None and workers > 1
-                and (os.cpu_count() or 1) > 1):
+        if workers > 1 and (os.cpu_count() or 1) > 1:
             return "process"
         return "serial"
     if executor not in EXECUTORS:
@@ -710,7 +776,7 @@ def resolve_executor(
     return executor
 
 
-#: Per-worker state built by a :class:`ProcessPlan`'s setup callable.
+#: Per-worker state built by a :class:`TaskPlan`'s setup callable.
 _worker_state: Any = None
 
 
@@ -779,7 +845,7 @@ def _striped_chunks(indexes: Sequence[int], n_chunks: int) -> List[List[int]]:
 
 
 def run_tasks(
-    thunks: Sequence[Callable[[], _T]],
+    plan: TaskPlan,
     workers: int,
     *,
     refs: Optional[Sequence[TaskRef]] = None,
@@ -787,20 +853,21 @@ def run_tasks(
     journal: Optional[TaskJournal] = None,
     deadline: Optional[TaskDeadline] = None,
     executor: Optional[str] = None,
-    process_plan: Optional[ProcessPlan] = None,
     stats: Optional[ExecutorStats] = None,
     restart_budget: Optional[int] = None,
     hang_timeout: Optional[float] = None,
 ) -> List[_T]:
-    """Run independent task thunks supervised, in submission order.
+    """Run a :class:`TaskPlan`'s independent tasks supervised, in order.
 
-    The batch runs inline (the serial path) unless ``executor`` resolves
-    to ``"process"``, the caller supplied a :class:`ProcessPlan` and
-    ``workers > 1``: then it fans out on a supervised process pool that
-    sidesteps the GIL.  Either way the result list order is the
-    submission order, never the completion order, so callers can merge
-    without knowing how the work was scheduled.  Cyclic GC is paused
-    while the batch drains (see :func:`paused_gc`).
+    The batch runs inline (the serial rung) unless ``executor`` resolves
+    to ``"process"`` and ``workers > 1``: then it fans out on a
+    supervised process pool that sidesteps the GIL.  The serial rung
+    builds ``plan.setup(plan.context)`` once and runs every task as
+    ``plan.run(state, payload)``, exactly as each pool worker does.
+    Either way the result list order is the submission order, never the
+    completion order, so callers can merge without knowing how the work
+    was scheduled.  Cyclic GC is paused while the batch drains (see
+    :func:`paused_gc`).
 
     ``refs`` names each task (defaults to anonymous per-index refs);
     ``retries`` bounds transient-failure re-execution; ``journal`` makes
@@ -819,21 +886,16 @@ def run_tasks(
     budget runs out the leftover tasks finish inline, where worker fault
     sites cannot fire.
     """
+    payloads = plan.payloads
     if refs is None:
-        refs = [TaskRef("tasks", "task", index) for index in range(len(thunks))]
-    elif len(refs) != len(thunks):
+        refs = [TaskRef("tasks", "task", index)
+                for index in range(len(payloads))]
+    elif len(refs) != len(payloads):
         raise ValueError(
-            f"got {len(thunks)} thunks but {len(refs)} refs"
-        )
-    if (process_plan is not None
-            and len(process_plan.payloads) != len(thunks)):
-        raise ValueError(
-            f"got {len(thunks)} thunks but "
-            f"{len(process_plan.payloads)} process payloads"
+            f"got {len(payloads)} payloads but {len(refs)} refs"
         )
     retries = max(0, retries)
-    kind = resolve_executor(executor, process_plan=process_plan,
-                            workers=workers)
+    kind = resolve_executor(executor, workers=workers)
     if restart_budget is None:
         restart_budget = _default_restart_budget
     restart_budget = max(0, restart_budget)
@@ -841,12 +903,11 @@ def run_tasks(
         hang_timeout = _default_hang_timeout
     checkpoint = getattr(_checkpoint_local, "callback", None)
 
-    results: List[Optional[_T]] = [None] * len(thunks)
-    pending: Sequence[int] = range(len(thunks))
-    if (kind == "process" and process_plan is not None
-            and workers > 1 and len(thunks) > 1):
+    results: List[Optional[_T]] = [None] * len(payloads)
+    pending: Sequence[int] = range(len(payloads))
+    if kind == "process" and workers > 1 and len(payloads) > 1:
         pending = _run_process_pool(
-            process_plan, refs, workers, retries, journal, deadline,
+            plan, refs, workers, retries, journal, deadline,
             stats, results,
             restart_budget=restart_budget, hang_timeout=hang_timeout,
             checkpoint=checkpoint,
@@ -858,12 +919,14 @@ def run_tasks(
         # this rung cannot crash the same way — the ladder terminates.
 
     started = time.perf_counter()
+    state = plan.context if plan.setup is None else plan.setup(plan.context)
     with paused_gc():
         for index in pending:
             if checkpoint is not None:
                 checkpoint()
             results[index] = _run_supervised(
-                thunks[index], refs[index], retries, journal, deadline
+                functools.partial(plan.run, state, payloads[index]),
+                refs[index], retries, journal, deadline,
             )
     if stats is not None:
         stats.record("serial", 1, len(pending),
@@ -887,7 +950,7 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _run_pool_generation(
-    process_plan: ProcessPlan,
+    plan: TaskPlan,
     refs: Sequence[TaskRef],
     pending: Sequence[int],
     workers: int,
@@ -913,7 +976,7 @@ def _run_pool_generation(
     the journal as they drain, so a mid-generation failure loses only the
     genuinely unfinished tasks; everything committed stays committed.
     """
-    payloads = process_plan.payloads
+    payloads = plan.payloads
     # ``workers * 4`` striped chunks keep the pool load-balanced when task
     # sizes are skewed (telnet days dwarf xmpp days) while per-chunk
     # overhead stays negligible.
@@ -930,7 +993,7 @@ def _run_pool_generation(
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_process_initializer,
-        initargs=(process_plan.setup, process_plan.context, fault_plan),
+        initargs=(plan.setup, plan.context, fault_plan),
     )
 
     def drain(done_futures):
@@ -973,7 +1036,7 @@ def _run_pool_generation(
     try:
         try:
             not_done = {
-                pool.submit(_process_chunk, process_plan.run, chunk_items,
+                pool.submit(_process_chunk, plan.run, chunk_items,
                             retries, deadline_spec, generation)
                 for chunk_items in items
             }
@@ -1023,7 +1086,7 @@ def _run_pool_generation(
 
 
 def _run_process_pool(
-    process_plan: ProcessPlan,
+    plan: TaskPlan,
     refs: Sequence[TaskRef],
     workers: int,
     retries: int,
@@ -1057,8 +1120,7 @@ def _run_process_pool(
     Ordinary task failures (:class:`~repro.net.errors.TaskFailure`)
     propagate — they are the task's verdict, not the pool's.
     """
-    payloads = process_plan.payloads
-    total = len(payloads)
+    total = len(plan.payloads)
     pending: List[int] = []
     for index in range(total):
         if journal is not None:
@@ -1083,7 +1145,7 @@ def _run_process_pool(
     chunk_counter = 0
     while pending:
         completed, failure, chunk_counter = _run_pool_generation(
-            process_plan, refs, pending, workers, retries, deadline_spec,
+            plan, refs, pending, workers, retries, deadline_spec,
             fault_plan, journal, deadline, stats, results, generation,
             hang_timeout, chunk_counter, checkpoint,
         )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.honeypots.events import AttackEvent, EventStore
-from repro.internet.fabric import SimulatedInternet, TcpConnection
+from repro.internet.fabric import SimulatedInternet
 from repro.internet.host import SimulatedHost
 from repro.net.errors import ConnectionRefused, HostUnreachable
 from repro.net.ipv4 import ip_to_int
@@ -47,18 +47,6 @@ class SessionTranscript:
         for request, _ in self.exchanges:
             total += len(request)
         return total
-
-    def requests_text(self) -> str:
-        """All attacker payloads, leniently decoded and joined."""
-        return "\n".join(
-            request.decode("utf-8", errors="replace") for request, _ in self.exchanges
-        )
-
-    def replies_text(self) -> str:
-        """All honeypot replies, leniently decoded and joined."""
-        return "\n".join(
-            reply.decode("utf-8", errors="replace") for _, reply in self.exchanges
-        )
 
 
 class LabHoneypot:
@@ -168,10 +156,6 @@ class HoneypotDeployment:
     def names(self) -> List[str]:
         """Deployment honeypot names in order."""
         return [honeypot.name for honeypot in self.honeypots]
-
-    def honeypot_at(self, address: int) -> Optional[LabHoneypot]:
-        """Honeypot bound to an address, if any."""
-        return self._by_address.get(address)
 
     def emulating(self, protocol: ProtocolId) -> List[LabHoneypot]:
         """Honeypots that emulate one protocol."""

@@ -253,10 +253,6 @@ class EventRow:
         """One JSONL row (the daily-export format of §3.3.2)."""
         return _event_json(self)
 
-    def to_event(self) -> AttackEvent:
-        """Materialize this row as a standalone :class:`AttackEvent`."""
-        return AttackEvent(**{name: getattr(self, name) for name in _FIELDS})
-
     def __eq__(self, other: Any) -> bool:
         try:
             return all(
@@ -681,13 +677,6 @@ class EventStore:
             if protocols[index] == protocol
         }
 
-    def sources_by_actor_kind(self) -> Dict[str, Set[int]]:
-        """actor label → source set (for traceability in tests)."""
-        result: Dict[str, Set[int]] = {}
-        for actor, source in zip(self._actors, self._sources):
-            result.setdefault(actor, set()).add(source)
-        return result
-
     def multistage_candidates(self) -> Dict[int, List[EventRow]]:
         """source → its events sorted by time, for sources touching
         multiple protocols — the Figure 9 detection input.
@@ -766,4 +755,3 @@ class EventStore:
             for line in text.splitlines()
             if line.strip()
         )
-

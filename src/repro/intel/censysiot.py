@@ -61,11 +61,3 @@ class CensysIotDB:
             for address in addresses
             if address in self.tags
         ]
-
-    def iot_hosts(self, database) -> List[Tuple[int, str]]:
-        """Tagged (address, device type) pairs for a scan database's hosts.
-
-        Accepts a :class:`~repro.scanner.records.ScanDatabase`; addresses
-        come back sorted so the join is deterministic.
-        """
-        return self.iot_subset(sorted(database.unique_hosts()))

@@ -15,7 +15,7 @@ high miss probability, the global ones a low one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional
 
 from repro.attacks.actors import ActorRegistry
 from repro.core.taxonomy import TrafficClass
@@ -75,13 +75,6 @@ class GreyNoiseDB:
     def classification(self, address: int) -> Optional[str]:
         """GreyNoise verdict, or None when the address is unseen."""
         return self.classifications.get(address)
-
-    def benign_sources(self) -> Set[int]:
-        """Addresses GreyNoise calls benign (its scanning services)."""
-        return {
-            address for address, verdict in self.classifications.items()
-            if verdict == BENIGN
-        }
 
     def count_benign(self, addresses: Iterable[int]) -> int:
         """How many of ``addresses`` GreyNoise recognises as benign."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "ProtocolId",
@@ -228,12 +228,3 @@ class ProtocolServer(abc.ABC):
     def describe(self) -> str:
         """One-line human description for logs and reports."""
         return f"{type(self).__name__}({self.protocol})"
-
-
-def first_line(data: bytes, limit: int = 200) -> str:
-    """Decode the first text line of a payload for logging/classification."""
-    try:
-        text = data.decode("utf-8", errors="replace")
-    except Exception:  # pragma: no cover - decode with replace cannot raise
-        return ""
-    return text.splitlines()[0][:limit] if text else ""

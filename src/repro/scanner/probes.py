@@ -14,7 +14,7 @@ Each probe captures the study's actual methodology:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from repro.protocols.amqp import PROTOCOL_HEADER
 from repro.protocols.base import ProtocolId
@@ -24,10 +24,8 @@ from repro.protocols.dds import spdp_probe
 from repro.protocols.mqtt import encode_connect
 from repro.protocols.opcua import get_endpoints, hello
 from repro.protocols.upnp import msearch_request
-from repro.protocols.xmpp import stream_open
 
 __all__ = [
-    "next_probe",
     "tcp_probe_payload",
     "tcp_followup_payload",
     "udp_probe_payload",
@@ -85,20 +83,3 @@ def udp_probe_payload(protocol: ProtocolId) -> bytes:
         raise KeyError(f"{protocol} is not a UDP-probed protocol")
     return builder()
 
-
-def next_probe(
-    protocol: ProtocolId, responses: Sequence[bytes]
-) -> Optional[bytes]:
-    """The next payload of a TCP grab dialogue, or None when it is over.
-
-    This is the whole grab state machine the scanner drives: call with the
-    replies received so far, send what comes back, stop on ``None``.  The
-    per-protocol shape (banner-only Telnet, one-shot MQTT/AMQP/XMPP,
-    two-round OPC UA) lives here and in the probe tables — the scanner
-    itself never branches on the protocol.
-    """
-    if not responses:
-        return tcp_probe_payload(protocol)
-    if len(responses) == 1:
-        return tcp_followup_payload(protocol, responses[0])
-    return None

@@ -15,8 +15,8 @@ does a deadline imply?
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.net.errors import ConfigError
 from repro.protocols.base import DEFAULT_PORTS, ProtocolId, TransportKind, transport_of
@@ -44,11 +44,6 @@ class ScanRatePlan:
     def total_seconds(self) -> float:
         """Sweep plus application-layer grab time."""
         return self.sweep_seconds + self.grab_seconds
-
-    @property
-    def end_day(self) -> float:
-        """Fractional day the scan completes."""
-        return self.start_day + self.total_seconds / _SECONDS_PER_DAY
 
 
 class ScanRateModel:

@@ -5,10 +5,10 @@ parallel: the address space is permuted and carved up, and independent
 senders sweep their slices concurrently.  :class:`ShardPlanner` is our
 version of that carve-up — it deterministically assigns every candidate
 address to one of ``K`` shards so :class:`~repro.scanner.zmap.InternetScanner`
-can run the shards through :func:`~repro.core.tasks.run_tasks` (inline,
-or on worker processes under ``--executor process`` — the scanner
-ships a picklable :class:`~repro.core.tasks.ProcessPlan` per sweep) and
-merge the results in canonical ``(address, port)`` order.
+can run the shards through :func:`~repro.core.tasks.run_tasks` (one
+picklable :class:`~repro.core.tasks.TaskPlan` per campaign, run inline or
+on worker processes under ``--executor process``) and merge the results
+in canonical ``(address, port)`` order.
 
 Two strategies:
 

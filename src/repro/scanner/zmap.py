@@ -38,9 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.tasks import (
     EXECUTORS,
     ExecutorStats,
-    ProcessPlan,
     TaskDeadline,
     TaskJournal,
+    TaskPlan,
     run_tasks,
 )
 from repro.internet.fabric import SimulatedInternet
@@ -222,30 +222,23 @@ class InternetScanner:
             for index in range(len(shards)):
                 tasks.append((protocol, index))
                 refs.append(protocol_refs[index])
-        payloads = [
-            (protocol, index, tuple(shards[index]))
-            for protocol, index in tasks
-        ]
-
-        def make_thunk(payload):
-            def run_shard() -> Tuple[List[tuple], int, float]:
-                return _scan_worker_run(self, payload)
-            return run_shard
-
+        plan = TaskPlan(
+            run=_scan_worker_run,
+            payloads=[
+                (protocol, index, tuple(shards[index]))
+                for protocol, index in tasks
+            ],
+            context=(self.internet, self.config),
+            setup=_scan_worker_setup,
+        )
         outcomes = run_tasks(
-            [make_thunk(payload) for payload in payloads],
+            plan,
             len(shards),
             refs=refs,
             retries=self.config.retries,
             journal=journal,
             deadline=deadline,
             executor=self.config.executor,
-            process_plan=ProcessPlan(
-                run=_scan_worker_run,
-                setup=_scan_worker_setup,
-                context=(self.internet, self.config),
-                payloads=payloads,
-            ),
             stats=self.executor_stats,
         )
 
@@ -374,37 +367,28 @@ class InternetScanner:
         return rows, probes
 
 
-# -- process-pool worker plumbing (module-level so it pickles by reference) --
+# -- the campaign's task plan (module-level so it pickles by reference) -----
 
 def _scan_worker_setup(context) -> "InternetScanner":
-    """Build one worker process's scanner around the shipped world copy.
+    """The scanner every shard task runs against, on either executor rung.
 
-    Admission (blocklist + host filter) already happened in the parent —
-    shard payloads carry only admitted addresses — so the worker shell
+    Admission (blocklist + host filter) already happened in the campaign —
+    shard payloads carry only admitted addresses — so the task scanner
     needs neither; probe order and loss verdicts are pure functions of
     (seed, protocol, shard) and the keyed flow, so a pristine world copy
-    produces exactly the parent's rows.  Shard flows are disjoint across
-    tasks (addresses partition within a protocol, ports differ across
-    protocols), so per-worker world copies cannot interact.
+    in a pool worker produces exactly the rows the live world does.
+    Shard flows are disjoint across tasks (addresses partition within a
+    protocol, ports differ across protocols), so per-worker world copies
+    cannot interact.
     """
     internet, config = context
-    scanner = InternetScanner.__new__(InternetScanner)
-    scanner.internet = internet
-    scanner.config = config
-    scanner.blocklist = None
-    scanner.host_filter = None
-    scanner._source = ip_to_int(config.scanner_address)
-    scanner._stream = RandomStream(config.seed, "scanner")
-    scanner.probes_sent = 0
-    scanner.shard_timings = []
-    scanner.executor_stats = ExecutorStats()
-    return scanner
+    return InternetScanner(internet, config)
 
 
 def _scan_worker_run(
     scanner: "InternetScanner", payload
 ) -> Tuple[List[tuple], int, float]:
-    """Run one (protocol, shard) unit; shared by the serial/process paths."""
+    """Run one (protocol, shard) unit against the task scanner."""
     protocol, shard, addresses = payload
     started = time.perf_counter()
     worker = (

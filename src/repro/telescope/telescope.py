@@ -31,9 +31,9 @@ from repro.core.scaling import scale_count
 from repro.core.tasks import (
     EXECUTORS,
     ExecutorStats,
-    ProcessPlan,
     TaskDeadline,
     TaskJournal,
+    TaskPlan,
     TaskRef,
     TaskTiming,
     run_tasks,
@@ -173,31 +173,19 @@ class TelescopeCapture:
         )
 
 
-def _telescope_worker_setup(context) -> "NetworkTelescope":
-    """Build one process worker's emission state (once per worker).
+def _telescope_worker_setup(config: TelescopeConfig) -> "NetworkTelescope":
+    """The telescope every emission task runs against, on either rung.
 
     Emission tasks touch only config-derived state — streams are pure
     functions of the seed, the dark prefix parses from the config — so the
-    worker gets a registry-less telescope shell rather than the full actor
+    tasks get a registry-less telescope rather than the full actor
     population.
     """
-    config = context
-    shell = NetworkTelescope.__new__(NetworkTelescope)
-    shell.registry = None
-    shell.geo = None
-    shell.asn = None
-    shell.config = config
-    shell._stream = RandomStream(config.seed, "telescope")
-    shell._dark = CidrBlock.parse(config.dark_prefix)
-    shell._allocator = None
-    shell.task_timings = []
-    shell.executor_stats = ExecutorStats()
-    shell._scanners = None
-    return shell
+    return NetworkTelescope(None, None, None, config)
 
 
 def _telescope_worker_run(shell: "NetworkTelescope", payload):
-    """Run one (unit, day) emission task inside a process worker."""
+    """Run one (unit, day) emission task against the task telescope."""
     unit, day, entries = payload
     if unit == "rsdos":
         return shell._emit_rsdos_day(day, entries)
@@ -269,36 +257,21 @@ class NetworkTelescope:
             self._plan_emission(protocol, all_sources, scanning_set, stream, day_plans)
         rsdos_by_day = self._plan_rsdos()
 
-        tasks: List[Tuple[object, int]] = []
-        thunks = []
-        for protocol in PAPER_TELESCOPE:
-            for day in range(self.config.days):
-                plan = day_plans.get((protocol, day))
-                if not plan:
-                    continue
-                tasks.append((protocol, day))
-                thunks.append(
-                    lambda p=protocol, d=day, entries=plan: self._emit_day(
-                        p, d, entries
-                    )
-                )
-        for day in sorted(rsdos_by_day):
-            tasks.append(("rsdos", day))
-            thunks.append(
-                lambda d=day, attacks=rsdos_by_day[day]: self._emit_rsdos_day(
-                    d, attacks
-                )
-            )
+        tasks: List[Tuple[object, int]] = [
+            (protocol, day)
+            for protocol in PAPER_TELESCOPE
+            for day in range(self.config.days)
+            if day_plans.get((protocol, day))
+        ]
+        tasks.extend(("rsdos", day) for day in sorted(rsdos_by_day))
         refs = [
             TaskRef("telescope", str(unit), day) for unit, day in tasks
         ]
         # The emission tasks need only config-derived state (streams are
-        # re-derived from the seed), so the process plan ships the config
-        # once per worker and plain (unit, day, entries) payloads per task.
-        process_plan = ProcessPlan(
+        # re-derived from the seed), so the plan ships the config as the
+        # context and plain (unit, day, entries) payloads per task.
+        plan = TaskPlan(
             run=_telescope_worker_run,
-            setup=_telescope_worker_setup,
-            context=self.config,
             payloads=[
                 (
                     unit,
@@ -308,13 +281,14 @@ class NetworkTelescope:
                 )
                 for unit, day in tasks
             ],
+            context=self.config,
+            setup=_telescope_worker_setup,
         )
         outcomes = run_tasks(
-            thunks, self.config.workers,
+            plan, self.config.workers,
             refs=refs, retries=self.config.retries, journal=journal,
             deadline=deadline,
             executor=self.config.executor,
-            process_plan=process_plan,
             stats=self.executor_stats,
         )
 

@@ -4,14 +4,14 @@ The shipping campaign (:meth:`repro.scanner.zmap.InternetScanner.run_campaign`)
 admits addresses once, shards them, probes each shard in a key-derived
 pseudo-random order and merges the rows canonically.  This oracle walks
 the fabric's hosts in order instead — per-target blocklist and host-filter
-checks, the :func:`~repro.scanner.probes.next_probe` grab dialogue, one
+checks, the :func:`next_probe` grab dialogue, one
 :class:`~repro.scanner.records.ScanRecord` per responding endpoint — and,
 sorted canonically, must give the campaign's bytes.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.net.errors import ConnectionRefused, HostUnreachable
 from repro.protocols.base import (
@@ -20,7 +20,11 @@ from repro.protocols.base import (
     TransportKind,
     transport_of,
 )
-from repro.scanner.probes import next_probe, udp_probe_payload
+from repro.scanner.probes import (
+    tcp_followup_payload,
+    tcp_probe_payload,
+    udp_probe_payload,
+)
 from repro.scanner.records import ScanRecord
 from repro.scanner.zmap import (
     _SECONDS_PER_DAY,
@@ -127,3 +131,21 @@ def _probe_udp(
         timestamp=timestamp,
         source="zmap",
     )
+
+
+def next_probe(
+    protocol: ProtocolId, responses: Sequence[bytes]
+) -> Optional[bytes]:
+    """The next payload of a TCP grab dialogue, or None when it is over.
+
+    This is the whole grab state machine the serial scan drives: call
+    with the replies received so far, send what comes back, stop on
+    ``None``.  The per-protocol shape (banner-only Telnet, one-shot
+    MQTT/AMQP/XMPP, two-round OPC UA) lives here and in the probe tables
+    — the scanner itself never branches on the protocol.
+    """
+    if not responses:
+        return tcp_probe_payload(protocol)
+    if len(responses) == 1:
+        return tcp_followup_payload(protocol, responses[0])
+    return None

@@ -15,7 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.attacks.actors import ActorRegistry, SourceInfo
-from repro.attacks.schedule import AttackScheduleConfig, AttackScheduler
+from repro.attacks.schedule import (
+    AttackScheduleConfig,
+    AttackScheduler,
+    _execute_attack_task,
+)
 from repro.cli import main
 from repro.core.taxonomy import AttackType, TrafficClass
 from repro.honeypots import build_deployment
@@ -149,12 +153,13 @@ class TestBatchScalarOracle:
             scheduler._plan_honeypot(
                 honeypot, sources[honeypot.name], budgets, plan
             )
-        lab = {h.name: h for h in deployment.honeypots}
         compared = 0
         for (name, day), sessions in sorted(plan.items()):
             if not sessions:
                 continue
-            batch = scheduler._run_task(lab[name], day, sessions)
+            batch = _execute_attack_task(
+                scheduler._worker_state(), (name, day, sessions)
+            )
             scalar = scalar_attack_task(
                 scheduler._worker_state(), (name, day, sessions)
             )

@@ -40,6 +40,7 @@ from repro.core.taxonomy import TrafficClass
 from repro.core.tasks import (
     JOURNAL_SCHEMA_VERSION,
     TaskJournal,
+    TaskPlan,
     TaskRef,
     run_tasks,
 )
@@ -264,15 +265,24 @@ class TestInjectorDeterminism:
 # The supervised executor
 # ---------------------------------------------------------------------------
 
+def _call(state, thunk):
+    """The ``run`` of the closure plans below: call the task's thunk."""
+    return thunk()
+
+
 class TestRunTasksSupervision:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_results_come_back_in_submission_order(self, workers):
         thunks = [lambda i=i: i * i for i in range(23)]
-        assert run_tasks(thunks, workers) == [i * i for i in range(23)]
+        plan = TaskPlan(run=_call, payloads=thunks)
+        assert run_tasks(plan, workers, executor="serial") == [
+            i * i for i in range(23)
+        ]
 
     def test_refs_length_mismatch_is_value_error(self):
-        with pytest.raises(ValueError, match="2 thunks but 1 refs"):
-            run_tasks([lambda: 1, lambda: 2], 1, refs=[TaskRef("p", "u", 0)])
+        with pytest.raises(ValueError, match="2 payloads but 1 refs"):
+            run_tasks(TaskPlan(run=_call, payloads=[lambda: 1, lambda: 2]),
+                      1, refs=[TaskRef("p", "u", 0)])
 
     def test_failure_wraps_in_task_failure_naming_the_task(self):
         def boom():
@@ -280,8 +290,8 @@ class TestRunTasksSupervision:
 
         ref = TaskRef("attacks", "Cowrie", 13)
         with pytest.raises(TaskFailure) as failure:
-            run_tasks([lambda: 1, boom], 1, refs=[TaskRef("attacks",
-                                                          "Cowrie", 12), ref])
+            run_tasks(TaskPlan(run=_call, payloads=[lambda: 1, boom]), 1,
+                      refs=[TaskRef("attacks", "Cowrie", 12), ref])
         assert failure.value.ref == ref
         assert failure.value.attempts == 1
         assert "attacks.Cowrie.13" in str(failure.value)
@@ -295,13 +305,13 @@ class TestRunTasksSupervision:
             raise inner
 
         with pytest.raises(TaskFailure) as failure:
-            run_tasks([reraise], 1)
+            run_tasks(TaskPlan(run=_call, payloads=[reraise]), 1)
         assert failure.value is inner
 
     def test_fatal_fault_fails_despite_retries(self):
         with faults.injected(_plan("task:1:fatal")):
             with pytest.raises(TaskFailure) as failure:
-                run_tasks([lambda: 1], 1,
+                run_tasks(TaskPlan(run=_call, payloads=[lambda: 1]), 1,
                           refs=[TaskRef("scan", "telnet", 0)], retries=9)
         assert failure.value.attempts == 1
         assert isinstance(failure.value.cause, FatalFaultError)
@@ -309,7 +319,7 @@ class TestRunTasksSupervision:
     def test_transient_fault_exhausts_after_retries(self):
         with faults.injected(_plan("task:1")):
             with pytest.raises(TaskFailure) as failure:
-                run_tasks([lambda: 1], 1,
+                run_tasks(TaskPlan(run=_call, payloads=[lambda: 1]), 1,
                           refs=[TaskRef("scan", "telnet", 0)], retries=3)
         assert failure.value.attempts == 4
         assert isinstance(failure.value.cause, TransientFaultError)
@@ -326,8 +336,8 @@ class TestRunTasksSupervision:
         calls = []
         with faults.injected(plan):
             results = run_tasks(
-                [lambda: calls.append(1) or 41], 1,
-                refs=[TaskRef("p", "u", day)], retries=1,
+                TaskPlan(run=_call, payloads=[lambda: calls.append(1) or 41]),
+                1, refs=[TaskRef("p", "u", day)], retries=1,
             )
         # Attempt 0 faulted before the thunk ran; attempt 1 succeeded.
         assert results == [41]
@@ -350,7 +360,8 @@ class TestRunTasksSupervision:
 
         thunks = [boom] + [slow(i) for i in range(1, 64)]
         with pytest.raises(TaskFailure) as failure:
-            run_tasks(thunks, 2)
+            run_tasks(TaskPlan(run=_call, payloads=thunks), 2,
+                      executor="serial")
         assert failure.value.ref.key() == "tasks.task.0"
         # The month must not run to completion behind the error: the
         # chunks not yet started when task 0 died were cancelled.
@@ -417,15 +428,17 @@ class TestTaskJournal:
     def test_run_tasks_replays_journal_instead_of_executing(self, tmp_path):
         refs = [TaskRef("p", "u", index) for index in range(4)]
         journal = TaskJournal(tmp_path)
-        first = run_tasks([lambda i=i: i * i for i in range(4)], 1,
-                          refs=refs, journal=journal)
+        plan = TaskPlan(run=_call,
+                        payloads=[lambda i=i: i * i for i in range(4)])
+        first = run_tasks(plan, 1, refs=refs, journal=journal)
         assert journal.stores == 4
 
         def untouchable():
             raise AssertionError("journaled task must not re-execute")
 
         replay = TaskJournal(tmp_path, resume=True)
-        second = run_tasks([untouchable] * 4, 1, refs=refs, journal=replay)
+        second = run_tasks(TaskPlan(run=_call, payloads=[untouchable] * 4),
+                           1, refs=refs, journal=replay)
         assert second == first == [0, 1, 4, 9]
         assert replay.hits == 4
 

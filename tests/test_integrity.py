@@ -43,6 +43,7 @@ from repro.core.study import Study
 from repro.core.tasks import (
     TaskDeadline,
     TaskJournal,
+    TaskPlan,
     TaskRef,
     run_tasks,
 )
@@ -74,6 +75,16 @@ def _plan(spec, seed=11):
 
 def _ref(day=0):
     return TaskRef("scan", "telnet", day)
+
+
+def _call(state, thunk):
+    """The ``run`` of the closure plans below: call the task's thunk."""
+    return thunk()
+
+
+def _closures(*thunks):
+    """A plan whose tasks are the given closures."""
+    return TaskPlan(run=_call, payloads=thunks)
 
 
 def _wrap(payload=b"payload-bytes", **overrides):
@@ -289,8 +300,11 @@ class TestJournalQuarantine:
     def test_run_tasks_self_heals_a_damaged_journal(self, tmp_path):
         refs = [TaskRef("p", "u", index) for index in range(4)]
         journal = TaskJournal(tmp_path)
-        first = run_tasks([lambda i=i: i * 10 for i in range(4)], 1,
-                          refs=refs, journal=journal)
+        first = run_tasks(
+            TaskPlan(run=_call, payloads=[lambda i=i: i * 10
+                                          for i in range(4)]),
+            1, refs=refs, journal=journal,
+        )
         damaged = os.path.join(journal.directory, refs[2].filename())
         with open(damaged, "r+b") as handle:
             handle.write(b"\x00" * 8)  # stomp the magic
@@ -298,8 +312,10 @@ class TestJournalQuarantine:
         resumed = TaskJournal(tmp_path, resume=True)
         calls = []
         second = run_tasks(
-            [lambda i=i: calls.append(i) or i * 10 for i in range(4)], 1,
-            refs=refs, journal=resumed,
+            TaskPlan(run=_call, payloads=[
+                lambda i=i: calls.append(i) or i * 10 for i in range(4)
+            ]),
+            1, refs=refs, journal=resumed,
         )
         assert second == first == [0, 10, 20, 30]
         assert calls == [2]  # only the damaged entry recomputed
@@ -354,14 +370,17 @@ class TestStoreCorruptSite:
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_resume_self_heals_byte_identically(self, tmp_path, workers):
         refs = [TaskRef("p", "u", index) for index in range(12)]
-        thunks = [lambda i=i: pickle.dumps(("row", i)) for i in range(12)]
-        oracle = run_tasks(thunks, 1, refs=refs)
+        plan = TaskPlan(run=_call, payloads=[
+            lambda i=i: pickle.dumps(("row", i)) for i in range(12)
+        ])
+        oracle = run_tasks(plan, 1, refs=refs)
 
         with faults.injected(_plan("store.corrupt:0.4", seed=5)):
-            run_tasks(thunks, workers, refs=refs,
+            run_tasks(plan, workers, refs=refs, executor="serial",
                       journal=TaskJournal(tmp_path))  # corrupt stores
             resumed = TaskJournal(tmp_path, resume=True)
-            healed = run_tasks(thunks, workers, refs=refs, journal=resumed)
+            healed = run_tasks(plan, workers, refs=refs, executor="serial",
+                               journal=resumed)
         assert healed == oracle
         assert len(resumed.quarantined) > 0  # the drill actually corrupted
 
@@ -438,7 +457,7 @@ class TestDeadlineParsing:
 class TestDeadlineSupervision:
     def test_soft_overrun_records_a_stall(self):
         deadline = TaskDeadline(soft=0.001)
-        result = run_tasks([lambda: time.sleep(0.01) or 41], 1,
+        result = run_tasks(_closures(lambda: time.sleep(0.01) or 41), 1,
                            refs=[_ref()], deadline=deadline)
         assert result == [41]
         assert len(deadline.stalls) == 1
@@ -451,14 +470,14 @@ class TestDeadlineSupervision:
 
     def test_fast_task_records_nothing(self):
         deadline = TaskDeadline(soft=5.0, hard=10.0)
-        assert run_tasks([lambda: 1], 1, refs=[_ref()],
+        assert run_tasks(_closures(lambda: 1), 1, refs=[_ref()],
                          deadline=deadline) == [1]
         assert deadline.stalls == []
 
     def test_hard_overrun_is_a_transient_task_failure(self):
         deadline = TaskDeadline(soft=0.001, hard=0.002)
         with pytest.raises(TaskFailure) as info:
-            run_tasks([lambda: time.sleep(0.01)], 1,
+            run_tasks(_closures(lambda: time.sleep(0.01)), 1,
                       refs=[_ref()], deadline=deadline)
         assert isinstance(info.value.__cause__, TaskDeadlineError)
         assert isinstance(info.value.__cause__, TransientFaultError)
@@ -474,7 +493,7 @@ class TestDeadlineSupervision:
                 time.sleep(0.1)
             return 7
 
-        assert run_tasks([sometimes_slow], 1, refs=[_ref()],
+        assert run_tasks(_closures(sometimes_slow), 1, refs=[_ref()],
                          retries=2, deadline=deadline) == [7]
         assert calls == [0, 1]
 
@@ -482,7 +501,8 @@ class TestDeadlineSupervision:
         deadline = TaskDeadline(hard=0.01)
         with faults.injected(_plan("deadline:1:0.05")):
             with pytest.raises(TaskFailure):
-                run_tasks([lambda: 1], 1, refs=[_ref()], deadline=deadline)
+                run_tasks(_closures(lambda: 1), 1, refs=[_ref()],
+                          deadline=deadline)
 
     def test_deadline_site_defaults_its_delay(self):
         rule = _plan("deadline:0.5").rules["deadline"]

@@ -1,13 +1,15 @@
 """Process-pool executor determinism: serial vs process bytes.
 
 The three sharded planes can fan their task batches out to worker
-processes (``--executor process``): the batch ships a picklable
-:class:`~repro.core.tasks.ProcessPlan`, workers rebuild their state in an
-initializer, and the parent merges chunk results in canonical order.
-These tests pin the contract down: byte-identical output against the
-serial path for every worker count and seed, picklable
-worker state on all three planes, striped chunk assignment, per-worker
-chunk timings, and crash-safe ``--resume`` after a worker dies mid-month.
+processes (``--executor process``): each batch is one picklable
+:class:`~repro.core.tasks.TaskPlan`, the serial rung builds its state
+once per batch, pool workers build the same state in an initializer, and
+the parent merges results in canonical order.  These tests pin the
+contract down: byte-identical output against the serial path for every
+worker count and seed, picklable worker state on all three planes, one
+state build per serial batch, the ``auto`` rule, striped chunk
+assignment, per-worker chunk timings, and crash-safe ``--resume`` after a
+worker dies mid-month.
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ from repro.attacks.schedule import (
 )
 from repro.core import faults
 from repro.core.faults import FaultPlan
+from repro.core import tasks
 from repro.core.tasks import (
     ChunkTiming,
-    ProcessPlan,
     TaskJournal,
+    TaskPlan,
     _striped_chunks,
     resolve_executor,
+    run_tasks,
 )
 from repro.core.taxonomy import TrafficClass
 from repro.honeypots import build_deployment
@@ -207,7 +211,7 @@ class TestPicklability:
         deployment.detach(population.internet)
 
     def test_plane_process_contexts_pickle(self):
-        """Every plane's ProcessPlan context survives a pickle round trip."""
+        """Every plane's TaskPlan context survives a pickle round trip."""
         scanner = _scanner(7, shards=2)
         pickle.loads(pickle.dumps((scanner.internet, scanner.config)))
         shell = _telescope(7, workers=2)
@@ -257,16 +261,51 @@ class TestStripedChunks:
         assert all(c.worker != 0 for c in stats.chunks)  # real pids
         assert sum(c.tasks for c in stats.chunks) == stats.tasks
 
-    def test_auto_resolves_serial_without_process_plan(self):
-        assert resolve_executor("auto", process_plan=None, workers=4) == (
-            "serial"
-        )
-        assert resolve_executor(None, process_plan=None, workers=4) == (
-            "serial"
-        )
-        assert resolve_executor("process", process_plan=None, workers=4) == (
-            "process"
-        )
+    def test_auto_picks_process_for_workers_on_a_multicore_box(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(tasks.os, "cpu_count", lambda: 4)
+        assert resolve_executor("auto", workers=4) == "process"
+        assert resolve_executor(None, workers=2) == "process"
+        assert resolve_executor("auto", workers=1) == "serial"
+        assert resolve_executor("serial", workers=4) == "serial"
+        monkeypatch.setattr(tasks.os, "cpu_count", lambda: 1)
+        assert resolve_executor("auto", workers=4) == "serial"
+        assert resolve_executor("process", workers=4) == "process"
+
+
+# ---------------------------------------------------------------------------
+# One task description: the serial rung runs the plan as the workers do
+# ---------------------------------------------------------------------------
+
+def _counting_setup(built):
+    """Record and return a fresh state object per call."""
+    built.append(object())
+    return built[-1]
+
+
+def _state_and_payload(state, payload):
+    return state, payload
+
+
+class TestTaskPlan:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_serial_rung_builds_state_once_per_batch(self, workers):
+        built = []
+        plan = TaskPlan(run=_state_and_payload, payloads=list(range(7)),
+                        context=built, setup=_counting_setup)
+        results = run_tasks(plan, workers, executor="serial")
+        assert len(built) == 1
+        assert [payload for _, payload in results] == list(range(7))
+        assert all(state is built[0] for state, _ in results)
+        run_tasks(plan, workers, executor="serial")
+        assert len(built) == 2  # once per batch, not once per plan
+
+    def test_serial_rung_without_setup_runs_against_context(self):
+        context = object()
+        plan = TaskPlan(run=_state_and_payload, payloads=["a", "b"],
+                        context=context)
+        assert run_tasks(plan, 1) == [(context, "a"), (context, "b")]
 
 
 # ---------------------------------------------------------------------------

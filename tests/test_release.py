@@ -7,10 +7,17 @@ import pytest
 
 import repro
 import repro.honeypots
+from repro.attacks.actors import ActorRegistry
 from repro.attacks.schedule import AttackScheduler
-from repro.core import columns
+from repro.core import columns, metrics, tasks
 from repro.honeypots import events
-from repro.honeypots.events import EventStore
+from repro.honeypots.base import HoneypotDeployment, SessionTranscript
+from repro.honeypots.events import EventRow, EventStore
+from repro.intel.censysiot import CensysIotDB
+from repro.intel.greynoise import GreyNoiseDB
+from repro.protocols import base as protocols_base
+from repro.scanner import probes
+from repro.scanner.rate import ScanRatePlan
 from repro.scanner.records import ScanDatabase
 from repro.scanner.zmap import InternetScanner
 from repro.telescope.telescope import NetworkTelescope
@@ -27,8 +34,10 @@ def test_pyproject_version_matches_package_version():
 
 
 class TestRemovedSurface:
-    """Names deleted in 2.0: the serial reference paths (their byte oracles
-    live under ``tests/oracles/``) and the deprecation shims."""
+    """Names deleted since 2.0: the serial reference paths (their byte
+    oracles live under ``tests/oracles/``), the deprecation shims, the
+    second description of a task batch and its metric copies, and public
+    methods nothing called."""
 
     @pytest.mark.parametrize("owner, name", [
         pytest.param(AttackScheduler, "run_reference",
@@ -45,10 +54,32 @@ class TestRemovedSurface:
                      id="repro.honeypots.EventLog"),
         pytest.param(columns, "_warn_deprecated",
                      id="repro.core.columns._warn_deprecated"),
+        pytest.param(AttackScheduler, "_run_task",
+                     id="AttackScheduler._run_task"),
+        pytest.param(tasks, "ProcessPlan", id="repro.core.tasks.ProcessPlan"),
+        pytest.param(metrics, "ExecutorMetric",
+                     id="repro.core.metrics.ExecutorMetric"),
+        pytest.param(metrics, "SupervisorMetric",
+                     id="repro.core.metrics.SupervisorMetric"),
+        pytest.param(protocols_base, "first_line",
+                     id="repro.protocols.base.first_line"),
+        pytest.param(CensysIotDB, "iot_hosts", id="CensysIotDB.iot_hosts"),
+        pytest.param(GreyNoiseDB, "benign_sources",
+                     id="GreyNoiseDB.benign_sources"),
+        pytest.param(EventStore, "sources_by_actor_kind",
+                     id="EventStore.sources_by_actor_kind"),
+        pytest.param(EventRow, "to_event", id="EventRow.to_event"),
+        pytest.param(SessionTranscript, "requests_text",
+                     id="SessionTranscript.requests_text"),
+        pytest.param(SessionTranscript, "replies_text",
+                     id="SessionTranscript.replies_text"),
+        pytest.param(HoneypotDeployment, "honeypot_at",
+                     id="HoneypotDeployment.honeypot_at"),
+        pytest.param(ActorRegistry, "censys_iot_sources",
+                     id="ActorRegistry.censys_iot_sources"),
+        pytest.param(ScanRatePlan, "end_day", id="ScanRatePlan.end_day"),
+        pytest.param(probes, "next_probe",
+                     id="repro.scanner.probes.next_probe"),
     ])
     def test_name_is_gone(self, owner, name):
         assert not hasattr(owner, name)
-
-    def test_run_task_has_no_batch_option(self):
-        with pytest.raises(TypeError, match="batch"):
-            AttackScheduler._run_task(None, None, 0, [], batch=False)

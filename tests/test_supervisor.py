@@ -20,6 +20,7 @@ from repro.core.tasks import (
     ExecutorStats,
     SupervisorEvent,
     TaskJournal,
+    TaskPlan,
     TaskRef,
     run_tasks,
 )
@@ -151,7 +152,7 @@ class TestSupervisorMetrics:
         ])
         assert stats.restarts == 2
         assert stats.downgrades == 1
-        assert [e["reason"] for e in stats.to_dict()["supervisor"]] == [
+        assert [e.to_dict()["reason"] for e in stats.supervisor] == [
             "worker-crash", "hang-timeout", "restart-budget",
         ]
 
@@ -192,6 +193,11 @@ class TestWorkerFaultGrammar:
 # KeyboardInterrupt mid-batch: journals stay resumable, byte-identically
 # ---------------------------------------------------------------------------
 
+def _call(state, thunk):
+    """The ``run`` of the closure plans below: call the task's thunk."""
+    return thunk()
+
+
 def _square_tasks(count, interrupt_at=None, armed=None):
     refs = [TaskRef("demo", "unit", day) for day in range(count)]
 
@@ -202,7 +208,8 @@ def _square_tasks(count, interrupt_at=None, armed=None):
             return day * day
         return thunk
 
-    return refs, [make(day) for day in range(count)]
+    return refs, TaskPlan(run=_call,
+                          payloads=[make(day) for day in range(count)])
 
 
 class TestKeyboardInterruptResume:
@@ -211,13 +218,13 @@ class TestKeyboardInterruptResume:
         expected = run_tasks(clean, 1, refs=refs)
 
         armed = [True]
-        refs, thunks = _square_tasks(12, interrupt_at=7, armed=armed)
+        refs, plan = _square_tasks(12, interrupt_at=7, armed=armed)
         journal = TaskJournal(tmp_path / "demo")
         with pytest.raises(KeyboardInterrupt):
-            run_tasks(thunks, 1, refs=refs, journal=journal)
+            run_tasks(plan, 1, refs=refs, journal=journal)
         assert journal.stores == 7  # tasks 0..6 landed before the interrupt
 
         resume = TaskJournal(tmp_path / "demo", resume=True)
-        refs, thunks = _square_tasks(12)  # interrupt disarmed: re-runs clean
-        assert run_tasks(thunks, 1, refs=refs, journal=resume) == expected
+        refs, plan = _square_tasks(12)  # interrupt disarmed: re-runs clean
+        assert run_tasks(plan, 1, refs=refs, journal=resume) == expected
         assert resume.hits == 7
