@@ -46,6 +46,6 @@ def test_scan_calendar(benchmark, study):
 
     # The simulated scan's record timestamps carry the same calendar.
     for protocol, start_day in SCAN_START_DAY.items():
-        records = study.zmap_db.by_protocol(protocol)
+        records = study.zmap_db.where(protocol=protocol)
         assert records, protocol
-        assert records[0].timestamp == start_day * 86_400
+        assert records.row(0).timestamp == start_day * 86_400

@@ -111,7 +111,7 @@ class HoneypotFingerprinter:
             detections={signature.honeypot: set() for signature in self.signatures}
         )
         # Only rows of fingerprintable protocols can match; the typed
-        # query skips the rest without building row views for them.
+        # query skips the rest without building rows for them.
         protocols = {signature.protocol for signature in self.signatures}
         for row in database.where(protocol=protocols).iter_rows():
             name = self.fingerprint_record(row)

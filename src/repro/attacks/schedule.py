@@ -950,8 +950,8 @@ class AttackScheduler:
         self.task_timings = [outcome.timing for outcome in outcomes]
 
         # Canonical merge: concatenation order is the task order, then one
-        # stable sort on (timestamp, source, honeypot, protocol) — worker
-        # count and completion order are unobservable.
+        # stable sort on the store's canonical key — worker count and
+        # completion order are unobservable.
         merged: List[tuple] = []
         for outcome in outcomes:
             merged.extend(outcome.events)
@@ -963,7 +963,7 @@ class AttackScheduler:
                     source = self.registry.get(address)
                     if source is not None:
                         source.malware_families.add(family)
-        merged.sort(key=lambda row: (row[4], row[2], row[0], str(row[1])))
+        merged.sort(key=EventStore.canonical_key)
         result.log.append_batch(merged)
 
         # Per-honeypot merges: ICS/session counters and pcap captures.

@@ -9,8 +9,13 @@ as parallel columns.  This module is the layer underneath them:
 * **column primitives** (:func:`make_numeric_column` /
   :func:`make_object_column`): numerics live in growable typed NumPy
   buffers (:class:`NumpyColumn`) whose ``view()`` exposes a contiguous
-  ``ndarray`` for masked filters, grouped counts and ``lexsort``-based
-  canonical ordering; labels, enums and byte payloads in plain lists;
+  ``ndarray`` for masked filters and grouped counts; labels, enums and
+  byte payloads in plain lists;
+* :class:`ColumnTable`, the append-only table the scan and attack stores
+  are written on: a subclass declares its ``NamedTuple`` row type, which
+  fields are numeric and its canonical merge key, and inherits ingestion,
+  observers, row access, filters, grouped counts, canonical ordering and
+  JSONL export;
 * the :class:`ColumnStore` protocol the analysis consumers type against
   (``where`` / ``count_by`` / ``iter_rows`` / ``sorted_canonical`` /
   ``append_batch``), so they depend on the query surface rather than on a
@@ -31,11 +36,15 @@ from __future__ import annotations
 
 from typing import (
     Any,
+    Callable,
+    ClassVar,
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Protocol,
+    Set,
     runtime_checkable,
 )
 
@@ -43,6 +52,7 @@ import numpy as np
 
 __all__ = [
     "ColumnStore",
+    "ColumnTable",
     "NumpyColumn",
     "make_numeric_column",
     "make_object_column",
@@ -58,9 +68,9 @@ class NumpyColumn:
     """A growable typed column over a NumPy buffer.
 
     Offers a mutable-sequence surface — ``append`` / ``extend`` /
-    indexing (negative indexes included) / iteration — so row views read
-    and write through it, while :meth:`view` exposes the live ``ndarray``
-    prefix for vectorized masks, grouped counts and ``lexsort``.
+    indexing (negative indexes included) / iteration — while :meth:`view`
+    exposes the live ``ndarray`` prefix for vectorized masks and grouped
+    counts.
 
     ``__getitem__`` unboxes to native Python scalars: everything read out
     of a column serializes (``json``, string formatting) exactly like the
@@ -174,6 +184,198 @@ def first_occurrence_counts(view) -> Dict[Any, int]:
     )
 
 
+#: Collection types a ``where`` filter treats as a membership set.
+_COLLECTIONS = (set, frozenset, list, tuple, range)
+
+
+class ColumnTable:
+    """An append-only table with one column per field of :attr:`ROW`.
+
+    A subclass declares three things and inherits the rest:
+
+    * ``ROW`` — the plane's ``NamedTuple`` record type; every row the
+      table yields is an instance of it, and ``add`` / ``extend`` /
+      ``append_batch`` take tuples in its field order;
+    * ``NUMERIC`` — numeric field → kind (``u64``/``u32``/``i64``/``f64``);
+      those fields get a :class:`NumpyColumn`, every other field a list;
+    * ``canonical_key(row)`` — a static method giving the plane's merge
+      order, shared by the plane's merge sort and :meth:`sorted_canonical`.
+    """
+
+    ROW: ClassVar[Any]
+    NUMERIC: ClassVar[Dict[str, str]] = {}
+
+    def __init__(self, records: Optional[Iterable[tuple]] = None) -> None:
+        #: Batched ingestions performed (one per :meth:`append_batch`
+        #: call); surfaced through ``StudyMetrics`` so ``--metrics-json``
+        #: shows whether the columnar merge path ran.
+        self.batch_appends = 0
+        self._columns: Dict[str, Any] = {
+            name: make_numeric_column(self.NUMERIC[name])
+            if name in self.NUMERIC else make_object_column()
+            for name in self.ROW._fields
+        }
+        self._observers: List[Callable[[list], None]] = []
+        if records is not None:
+            self.extend(records)
+
+    @staticmethod
+    def canonical_key(row: tuple) -> tuple:
+        """The plane's merge-order key for one row tuple."""
+        raise NotImplementedError
+
+    # -- ingestion ---------------------------------------------------------
+
+    def subscribe(self, callback: Callable[[list], None]) -> Callable:
+        """Register a batch-emission observer.
+
+        ``callback`` receives the rows of every chunk ingested through
+        :meth:`append_batch` — the streaming layer's live tap
+        (:meth:`~repro.stream.bus.EventBus.tap`).  ``add`` and ``extend``
+        never notify.  Returns the callback for :meth:`unsubscribe`.
+        """
+        self._observers.append(callback)
+        return callback
+
+    def unsubscribe(self, callback: Callable) -> None:
+        """Remove a previously subscribed observer."""
+        self._observers.remove(callback)
+
+    def add(self, record: tuple) -> None:
+        """Append one row (a tuple in ``ROW`` field order)."""
+        for column, value in zip(self._columns.values(), record):
+            column.append(value)
+
+    def extend(self, records: Iterable[tuple]) -> None:
+        """Append many rows in one columnar pass (one ``extend`` per
+        column, a single buffer copy for the numeric ones)."""
+        for column, values in zip(self._columns.values(), zip(*records)):
+            column.extend(values)
+
+    def append_batch(self, rows: Iterable[tuple]) -> int:
+        """:meth:`extend`, counted in ``batch_appends`` and announced to
+        the observers; returns the row count."""
+        if not isinstance(rows, list):
+            rows = list(rows)
+        self.extend(rows)
+        self.batch_appends += 1
+        if self._observers and rows:
+            emitted = list(self._take(range(len(self) - len(rows), len(self))))
+            for callback in self._observers:
+                callback(emitted)
+        return len(rows)
+
+    # -- row access ----------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._columns[self.ROW._fields[0]])
+
+    def row(self, index: int) -> Any:
+        """One row by position."""
+        if not 0 <= index < len(self):
+            raise IndexError(f"row index {index} out of range")
+        return self.ROW._make(
+            column[index] for column in self._columns.values()
+        )
+
+    def iter_rows(self) -> Iterator[Any]:
+        """The rows in insertion order."""
+        return map(self.ROW._make, zip(*(
+            column.tolist() if isinstance(column, NumpyColumn) else column
+            for column in self._columns.values()
+        )))
+
+    def __iter__(self) -> Iterator[Any]:
+        return self.iter_rows()
+
+    def column(self, name: str) -> Any:
+        """Direct (read-only by convention) access to one field's column:
+        a :class:`NumpyColumn` for numeric fields, a list otherwise."""
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise KeyError(f"no such column: {name!r}") from None
+
+    # -- queries -------------------------------------------------------------
+
+    def where(self, **filters: Any) -> "ColumnTable":
+        """New table with the rows matching every ``field=value`` filter.
+
+        A value is a scalar (equality) or a collection (membership).
+        Numeric fields collapse to one boolean mask over the columns, then
+        the object fields test the surviving positions in insertion order.
+        """
+        mask = None
+        object_filters = []
+        for name, value in filters.items():
+            column = self.column(name)
+            if not isinstance(column, NumpyColumn):
+                object_filters.append((column, value))
+                continue
+            view = column.view()
+            if isinstance(value, _COLLECTIONS):
+                hit = np.isin(view, list(value))
+            else:
+                hit = view == value
+            mask = hit if mask is None else mask & hit
+        positions: Any = (
+            range(len(self)) if mask is None else np.flatnonzero(mask).tolist()
+        )
+        for column, value in object_filters:
+            if isinstance(value, _COLLECTIONS):
+                allowed = set(value)
+                positions = [i for i in positions if column[i] in allowed]
+            else:
+                positions = [i for i in positions if column[i] == value]
+        return self._take(positions)
+
+    def count_by(
+        self, column: str, *, unique: Optional[str] = None
+    ) -> Dict[Any, int]:
+        """Row (or distinct-value) counts grouped by one column.
+
+        ``count_by("protocol")`` counts rows per protocol;
+        ``count_by("protocol", unique="address")`` counts *distinct
+        addresses* per protocol.  Numeric key columns group via
+        ``np.unique`` (reordered to first occurrence, the dict-insertion
+        order of a counting loop); object columns keep the Python loop.
+        """
+        keys = self.column(column)
+        if unique is None:
+            if isinstance(keys, NumpyColumn):
+                return first_occurrence_counts(keys.view())
+            counts: Dict[Any, int] = {}
+            for key in keys:
+                counts[key] = counts.get(key, 0) + 1
+            return counts
+        groups: Dict[Any, Set[Any]] = {}
+        for key, value in zip(keys, self.column(unique)):
+            groups.setdefault(key, set()).add(value)
+        return {key: len(members) for key, members in groups.items()}
+
+    def _take(self, positions: Iterable[int]) -> "ColumnTable":
+        """New table holding the rows at ``positions``, in that order."""
+        result = type(self)()
+        order = np.asarray(positions, dtype=np.intp)
+        for name, column in self._columns.items():
+            result._columns[name] = (
+                column.take(order) if isinstance(column, NumpyColumn)
+                else [column[i] for i in positions]
+            )
+        return result
+
+    def sorted_canonical(self) -> "ColumnTable":
+        """New table in the plane's canonical merge order: a stable sort on
+        :meth:`canonical_key`, the permutation the plane's merge applies."""
+        result = type(self)()
+        result.extend(sorted(self.iter_rows(), key=self.canonical_key))
+        return result
+
+    def to_jsonl(self) -> str:
+        """Serialize all rows as JSONL."""
+        return "\n".join(row.to_json() for row in self.iter_rows())
+
+
 @runtime_checkable
 class ColumnStore(Protocol):
     """The unified query surface of the three measurement-plane stores.
@@ -182,7 +384,7 @@ class ColumnStore(Protocol):
     recurrence, RSDoS) accept any store satisfying this protocol instead of
     importing a concrete store class.  ``where`` narrows to a new store of
     the same type, ``count_by`` groups with optional distinct-value
-    counting, ``iter_rows`` yields row views in insertion order,
+    counting, ``iter_rows`` yields rows in insertion order,
     ``sorted_canonical`` re-orders into the plane's canonical merge order
     and ``append_batch`` ingests many rows in one columnar pass.
     """

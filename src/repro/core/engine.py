@@ -85,7 +85,10 @@ __all__ = [
 #: Version 3: every plane store holds NumPy-backed numeric columns; a
 #: version-2 entry may hold the ``array`` columns the stores no longer
 #: query, so it must miss.
-ENGINE_SCHEMA_VERSION = 3
+#: Version 4: the scan and attack stores are ``ColumnTable``s keeping
+#: their columns in one dict and yielding ``NamedTuple`` rows; a
+#: version-3 entry holds the old per-field column attributes.
+ENGINE_SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------

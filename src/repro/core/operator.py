@@ -4,9 +4,9 @@ Each analysis (:mod:`repro.analysis.misconfig`,
 :mod:`repro.analysis.device_type`, :mod:`repro.analysis.country`,
 :mod:`repro.analysis.attack_origins`, :mod:`repro.analysis.recurrence`,
 :mod:`repro.telescope.rsdos`) is one operator: a row-at-a-time fold over
-a plane store's rows
-(:class:`~repro.scanner.records.ScanRow`,
-:class:`~repro.honeypots.events.EventRow`,
+a plane store's rows, which are ``NamedTuple`` records
+(:class:`~repro.scanner.records.ScanRecord`,
+:class:`~repro.honeypots.events.AttackEvent`,
 :class:`~repro.telescope.flowtuple.FlowTupleRecord`).  The batch entry
 point of an analysis builds its operator, feeds it the whole store once
 and returns :meth:`OperatorBase.finalize`; the streaming service feeds

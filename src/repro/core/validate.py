@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.scanner.records import ScanDatabase
+
 __all__ = [
     "Violation",
     "Invariant",
@@ -111,7 +113,7 @@ def _check_scan_canonical(engine) -> List[str]:
     database = engine.artifact("zmap_db")
     previous = None
     for index, row in enumerate(database.iter_rows()):
-        triple = (row.address, row.port, row.protocol)
+        triple = ScanDatabase.canonical_key(row)
         if previous is not None and triple <= previous:
             return [
                 f"row {index} {triple!r} breaks canonical "

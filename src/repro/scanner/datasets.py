@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.internet.fabric import SimulatedInternet
 from repro.net.prng import RandomStream
 from repro.protocols.base import ProtocolId
-from repro.scanner.records import _FIELDS, ScanDatabase
+from repro.scanner.records import ScanDatabase
 from repro.scanner.zmap import InternetScanner, ScanConfig
 
 __all__ = [
@@ -107,9 +107,7 @@ class DatasetProvider:
             if restrictions is not None:
                 snapshot = snapshot.where(port=restrictions)
             snapshot.set_source(self.name)
-            database.append_batch(
-                zip(*(snapshot.column(name) for name in _FIELDS))
-            )
+            database.append_batch(snapshot.iter_rows())
         return database
 
 

@@ -257,10 +257,9 @@ class InternetScanner:
                     probes=probes,
                 )
             )
-        # Canonical merge order across the whole campaign — the same key
-        # ScanDatabase.sorted_canonical uses, so every shard count
-        # produces a byte-identical database.
-        rows.sort(key=lambda row: (row[0], row[1], row[2]))
+        # Canonical merge order across the whole campaign, so every shard
+        # count produces a byte-identical database.
+        rows.sort(key=ScanDatabase.canonical_key)
         database = ScanDatabase()
         database.append_batch(rows)
         return database

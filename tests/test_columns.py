@@ -10,7 +10,7 @@ Pins the contracts the vectorized stores rest on:
   database, attack event log, telescope flow store), each store's digest
   equal to ``plane_goldens.json``;
 * **vector paths against plain Python** — every mask, ``np.unique`` and
-  ``lexsort`` path of the three stores agrees with a recomputation over
+  canonical-order path of the three stores agrees with a recomputation over
   ``iter_rows()`` (dict counting, ``set``, ``sorted`` by the canonical
   tuple key);
 * **one protocol, one deprecation story** — the three stores satisfy the
@@ -338,6 +338,14 @@ class TestBackendParity:
         assert list(writer.sorted_canonical().records()) == _python_sorted(
             records, _FLOW_KEY
         )
+
+
+class TestColumnTable:
+    @pytest.mark.parametrize("store", [ScanDatabase, EventStore])
+    @pytest.mark.parametrize("name", ["observer", "nope"])
+    def test_column_rejects_names_that_are_not_fields(self, store, name):
+        with pytest.raises(KeyError, match="no such column"):
+            store().column(name)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ class TestProviders:
     def test_sonar_telnet_port_23_only(self, world):
         database = project_sonar(seed=7).snapshot(world.internet)
         telnet_ports = {
-            record.port for record in database.by_protocol(ProtocolId.TELNET)
+            record.port
+            for record in database.where(protocol=ProtocolId.TELNET)
         }
         assert telnet_ports == {23}
 

@@ -600,9 +600,10 @@ class TestPhaseCacheHeader:
         assert PhaseCache(directory=tmp_path).get(self.KEY, "fp") == (
             None, False,
         )
-        # A version-2 envelope may hold stores with ``array`` columns,
-        # which the NumPy-only query paths cannot serve: it must miss.
-        assert ENGINE_SCHEMA_VERSION == 3
+        # An older envelope may hold stores in a layout the current
+        # ``ColumnTable`` stores cannot serve (version 2: ``array``
+        # columns; version 3: per-field column attributes): it must miss.
+        assert ENGINE_SCHEMA_VERSION == 4
         with open(tmp_path / f"{self.KEY}.pkl", "wb") as handle:
             handle.write(wrap_envelope(
                 pickle.dumps({"zmap_db": 41}), schema=2, kind="phase",

@@ -207,7 +207,6 @@ class TestEventLog:
         assert [e.timestamp for e in candidates[5]] == [10, 20]
 
     def test_malware_hashes_collected(self):
-        event = self._event()
-        event.malware_hash = "ab" * 32
+        event = self._event()._replace(malware_hash="ab" * 32)
         log = EventStore([event, self._event()])
         assert log.malware_hashes() == {"ab" * 32}

@@ -689,8 +689,8 @@ class TestValidator:
         engine = StudyEngine(StudyConfig.quick(seed=31), cache=False)
         engine.ensure("zmap_db")
         database = engine.artifact("zmap_db")
-        first, last = database._addresses[0], database._addresses[-1]
-        database._addresses[0], database._addresses[-1] = last, first
+        addresses = database.column("address")
+        addresses[0], addresses[-1] = addresses[-1], addresses[0]
         violations = run_validation(engine)
         assert "scan.canonical-order" in {
             v.invariant for v in violations
@@ -730,9 +730,8 @@ class TestCliValidate:
             )
         artifacts = pickle.loads(payload)
         database = artifacts["zmap_db"]
-        database._addresses[0], database._addresses[-1] = (
-            database._addresses[-1], database._addresses[0],
-        )
+        addresses = database.column("address")
+        addresses[0], addresses[-1] = addresses[-1], addresses[0]
         blob = wrap_envelope(
             pickle.dumps(artifacts, pickle.HIGHEST_PROTOCOL),
             schema=ENGINE_SCHEMA_VERSION, kind="phase",

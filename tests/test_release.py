@@ -12,11 +12,11 @@ from repro.attacks.schedule import AttackScheduler
 from repro.core import columns, metrics, tasks
 from repro.honeypots import events
 from repro.honeypots.base import HoneypotDeployment, SessionTranscript
-from repro.honeypots.events import EventRow, EventStore
+from repro.honeypots.events import EventStore
 from repro.intel.censysiot import CensysIotDB
 from repro.intel.greynoise import GreyNoiseDB
 from repro.protocols import base as protocols_base
-from repro.scanner import probes
+from repro.scanner import probes, records
 from repro.scanner.rate import ScanRatePlan
 from repro.scanner.records import ScanDatabase
 from repro.scanner.zmap import InternetScanner
@@ -36,7 +36,8 @@ def test_pyproject_version_matches_package_version():
 class TestRemovedSurface:
     """Names deleted since 2.0: the serial reference paths (their byte
     oracles live under ``tests/oracles/``), the deprecation shims, the
-    second description of a task batch and its metric copies, and public
+    second description of a task batch and its metric copies, the
+    write-through row views of the scan and attack stores, and public
     methods nothing called."""
 
     @pytest.mark.parametrize("owner, name", [
@@ -68,7 +69,20 @@ class TestRemovedSurface:
                      id="GreyNoiseDB.benign_sources"),
         pytest.param(EventStore, "sources_by_actor_kind",
                      id="EventStore.sources_by_actor_kind"),
-        pytest.param(EventRow, "to_event", id="EventRow.to_event"),
+        pytest.param(events, "EventRow",
+                     id="repro.honeypots.events.EventRow"),
+        pytest.param(records, "ScanRow", id="repro.scanner.records.ScanRow"),
+        pytest.param(ScanDatabase, "by_protocol",
+                     id="ScanDatabase.by_protocol"),
+        pytest.param(ScanDatabase, "records_for",
+                     id="ScanDatabase.records_for"),
+        pytest.param(ScanDatabase, "filter", id="ScanDatabase.filter"),
+        pytest.param(ScanDatabase, "append_row",
+                     id="ScanDatabase.append_row"),
+        pytest.param(EventStore, "append_event",
+                     id="EventStore.append_event"),
+        pytest.param(EventStore, "group_by_source",
+                     id="EventStore.group_by_source"),
         pytest.param(SessionTranscript, "requests_text",
                      id="SessionTranscript.requests_text"),
         pytest.param(SessionTranscript, "replies_text",

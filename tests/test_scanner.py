@@ -123,16 +123,10 @@ class TestScanDatabase:
         assert merged.unique_hosts() == {1, 2}
 
     def test_merge_prefers_first(self):
-        rich = self._record(1)
-        rich.banner = b"rich-banner"
-        poor = self._record(1)
-        poor.banner = b""
+        rich = self._record(1)._replace(banner=b"rich-banner")
+        poor = self._record(1)._replace(banner=b"")
         merged = ScanDatabase([rich]).merge(ScanDatabase([poor]))
         assert list(merged)[0].banner == b"rich-banner"
-
-    def test_filter(self):
-        db = ScanDatabase([self._record(1), self._record(2)])
-        assert len(db.filter(lambda r: r.address == 1)) == 1
 
     def test_jsonl_round_trip_fields(self):
         import json

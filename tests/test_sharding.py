@@ -173,18 +173,25 @@ class TestScanConfigValidation:
 
 class TestColumnarDatabase:
     @pytest.fixture()
-    def database(self):
+    def records(self):
+        return [
+            ScanRecord(address=1, port=23, protocol=ProtocolId.TELNET,
+                       transport=TransportKind.TCP, banner=b"login:",
+                       response=b"", timestamp=0, source="zmap"),
+            ScanRecord(address=1, port=1883, protocol=ProtocolId.MQTT,
+                       transport=TransportKind.TCP, banner=b"",
+                       response=b"\x20\x02\x00\x00", timestamp=3,
+                       source="zmap"),
+            ScanRecord(address=2, port=23, protocol=ProtocolId.TELNET,
+                       transport=TransportKind.TCP, banner=b"login:",
+                       response=b"", timestamp=0, source="sonar"),
+        ]
+
+    @pytest.fixture()
+    def database(self, records):
         db = ScanDatabase()
-        db.add(ScanRecord(address=1, port=23, protocol=ProtocolId.TELNET,
-                          transport=TransportKind.TCP, banner=b"login:",
-                          response=b"", timestamp=0, source="zmap"))
-        db.add(ScanRecord(address=1, port=1883, protocol=ProtocolId.MQTT,
-                          transport=TransportKind.TCP, banner=b"",
-                          response=b"\x20\x02\x00\x00", timestamp=3,
-                          source="zmap"))
-        db.add(ScanRecord(address=2, port=23, protocol=ProtocolId.TELNET,
-                          transport=TransportKind.TCP, banner=b"login:",
-                          response=b"", timestamp=0, source="sonar"))
+        for record in records:
+            db.add(record)
         return db
 
     def test_where_by_protocol_and_source(self, database):
@@ -202,23 +209,16 @@ class TestColumnarDatabase:
             ProtocolId.TELNET: 2, ProtocolId.MQTT: 1,
         }
 
-    def test_iter_rows_round_trips_records(self, database):
+    def test_iter_rows_round_trips_records(self, database, records):
         rows = list(database.iter_rows())
-        assert [row.to_record() for row in rows] == database.records_for(
-            lambda row: True
-        ) or len(rows) == 3
+        assert rows == records
+        assert all(type(row) is ScanRecord for row in rows)
         assert rows[0].address == 1
         assert rows[0].banner_text == "login:"
 
-    def test_row_write_through(self, database):
-        row = database.row(0)
-        row.source = "merged"
-        assert database.row(0).source == "merged"
-        assert database.column("source")[0] == "merged"
-
     def test_merge_dedupes_first_wins(self, database):
         other = ScanDatabase()
-        other.add(database.row(0).to_record())
+        other.add(database.row(0))
         other.add(ScanRecord(address=9, port=23, protocol=ProtocolId.TELNET,
                              transport=TransportKind.TCP, banner=b"hi",
                              response=b"", timestamp=0, source="shodan"))

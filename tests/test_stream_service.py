@@ -137,7 +137,7 @@ class TestStoreTaps:
         assert bus.published["telescope"] == 1
 
     def test_per_record_paths_never_notify(self, quick_study):
-        """add()/append_row stay hot paths — no observer overhead."""
+        """add()/extend() stay hot paths — no observer overhead."""
         row = list(quick_study.merged_db.iter_rows())[0]
         db = ScanDatabase()
         bus = EventBus()
