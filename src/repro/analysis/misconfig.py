@@ -18,10 +18,15 @@ CoAP      ``x1C``/``220`` marker in response           no auth (full access)
 CoAP      link-format resource listing                 reflection resource
 UPnP      M-SEARCH reply disclosing ``LOCATION``       reflection resource
 ========  ==========================================  =======================
+
+A verdict depends only on ``(protocol, banner, response)``, and a scan
+campaign repeats few distinct texts many times, so :func:`classify_record`
+answers from a bounded cache keyed on that triple.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
@@ -54,12 +59,22 @@ _PLAIN_PROMPT_RE = re.compile(r"[#$]\s*$")
 
 def classify_record(record: ScanRecord) -> Misconfig:
     """Classify one scan record; :data:`Misconfig.NONE` when healthy."""
-    handler = _CLASSIFIERS.get(record.protocol)
-    return handler(record) if handler else Misconfig.NONE
+    return _classify_text(record.protocol, record.banner, record.response)
 
 
-def _classify_telnet(record: ScanRecord) -> Misconfig:
-    text = strip_iac(record.banner).decode("utf-8", errors="replace")
+@functools.lru_cache(maxsize=4096)
+def _classify_text(protocol: ProtocolId, banner: bytes, response: bytes) -> Misconfig:
+    handler = _CLASSIFIERS.get(protocol)
+    return handler(banner, response) if handler else Misconfig.NONE
+
+
+def _text(data: bytes) -> str:
+    """Bytes decoded like :attr:`ScanRecord.response_text`."""
+    return data.decode("utf-8", errors="backslashreplace")
+
+
+def _classify_telnet(banner: bytes, response: bytes) -> Misconfig:
+    text = strip_iac(banner).decode("utf-8", errors="replace")
     if not text:
         return Misconfig.NONE
     if _ROOT_PROMPT_RE.search(text):
@@ -71,9 +86,9 @@ def _classify_telnet(record: ScanRecord) -> Misconfig:
     return Misconfig.NONE
 
 
-def _classify_mqtt(record: ScanRecord) -> Misconfig:
+def _classify_mqtt(banner: bytes, response: bytes) -> Misconfig:
     try:
-        code = decode_connack(record.response)
+        code = decode_connack(response)
     except ProtocolError:
         return Misconfig.NONE
     if code == ConnectReturnCode.ACCEPTED:
@@ -81,9 +96,9 @@ def _classify_mqtt(record: ScanRecord) -> Misconfig:
     return Misconfig.NONE
 
 
-def _classify_amqp(record: ScanRecord) -> Misconfig:
+def _classify_amqp(banner: bytes, response: bytes) -> Misconfig:
     try:
-        properties, mechanisms = parse_connection_start(record.response)
+        properties, mechanisms = parse_connection_start(response)
     except ProtocolError:
         return Misconfig.NONE
     if "ANONYMOUS" in mechanisms:
@@ -93,8 +108,8 @@ def _classify_amqp(record: ScanRecord) -> Misconfig:
     return Misconfig.NONE
 
 
-def _classify_xmpp(record: ScanRecord) -> Misconfig:
-    features = record.response_text
+def _classify_xmpp(banner: bytes, response: bytes) -> Misconfig:
+    features = _text(response)
     mechanisms = parse_mechanisms(features)
     if not mechanisms:
         return Misconfig.NONE
@@ -105,8 +120,8 @@ def _classify_xmpp(record: ScanRecord) -> Misconfig:
     return Misconfig.NONE
 
 
-def _classify_coap(record: ScanRecord) -> Misconfig:
-    payload = record.response_text
+def _classify_coap(banner: bytes, response: bytes) -> Misconfig:
+    payload = _text(response)
     if not payload:
         return Misconfig.NONE
     # Skip past the CoAP binary header to the text payload markers.
@@ -119,8 +134,8 @@ def _classify_coap(record: ScanRecord) -> Misconfig:
     return Misconfig.NONE
 
 
-def _classify_upnp(record: ScanRecord) -> Misconfig:
-    text = record.response_text
+def _classify_upnp(banner: bytes, response: bytes) -> Misconfig:
+    text = _text(response)
     if "LOCATION:" in text.upper():
         return Misconfig.UPNP_REFLECTOR
     return Misconfig.NONE
@@ -129,24 +144,24 @@ def _classify_upnp(record: ScanRecord) -> Misconfig:
 # -- extension protocols (§6 future work) ----------------------------------
 
 
-def _classify_tr069(record: ScanRecord) -> Misconfig:
+def _classify_tr069(banner: bytes, response: bytes) -> Misconfig:
     """A 200 to an unauthenticated connection request = open management."""
-    text = record.response_text
+    text = _text(response)
     if text.startswith("HTTP/1.1 200") and "WWW-Authenticate" not in text:
         return Misconfig.TR069_NO_AUTH
     return Misconfig.NONE
 
 
-def _classify_dds(record: ScanRecord) -> Misconfig:
+def _classify_dds(banner: bytes, response: bytes) -> Misconfig:
     """Any SPDP announcement to a unicast probe = open discovery."""
-    if record.response[:4] == b"RTPS":
+    if response[:4] == b"RTPS":
         return Misconfig.DDS_OPEN_DISCOVERY
     return Misconfig.NONE
 
 
-def _classify_opcua(record: ScanRecord) -> Misconfig:
+def _classify_opcua(banner: bytes, response: bytes) -> Misconfig:
     """A GetEndpoints response offering SecurityPolicy#None = no security."""
-    if "SecurityPolicy#None" in record.response_text:
+    if "SecurityPolicy#None" in _text(response):
         return Misconfig.OPCUA_NO_SECURITY
     return Misconfig.NONE
 

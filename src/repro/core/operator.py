@@ -109,6 +109,14 @@ class OperatorBase:
         return snapshot_digest(self.snapshot())
 
 
+def _sort_key(item: Any) -> str:
+    """``json.dumps(item, sort_keys=True)``, spelled ``str(item)`` for an
+    exact ``int`` (not ``bool``), where both give the same text."""
+    if type(item) is int:
+        return str(item)
+    return json.dumps(item, sort_keys=True)
+
+
 def _canonical(value: Any) -> Any:
     """Reduce a snapshot to order-independent JSON-encodable structure."""
     if is_dataclass(value) and not isinstance(value, type):
@@ -123,15 +131,12 @@ def _canonical(value: Any) -> Any:
         return f"{type(value).__name__}.{value.name}"
     if isinstance(value, dict):
         items = [
-            (json.dumps(_canonical(key), sort_keys=True), _canonical(item))
+            (_sort_key(_canonical(key)), _canonical(item))
             for key, item in value.items()
         ]
         return {key: item for key, item in sorted(items)}
     if isinstance(value, (set, frozenset)):
-        return sorted(
-            (_canonical(item) for item in value),
-            key=lambda item: json.dumps(item, sort_keys=True),
-        )
+        return sorted((_canonical(item) for item in value), key=_sort_key)
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     if isinstance(value, (str, int, float, bool)) or value is None:

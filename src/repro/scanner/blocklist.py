@@ -9,6 +9,10 @@ We model both:
 * :class:`GeoBlocklist` — blocks by registry country, which is how a
   continental list like FireHOL's behaves at our block granularity.
 
+A :class:`CidrBlocklist` merges its CIDRs once into sorted, disjoint
+``[first, last]`` intervals, so a membership test is one bisection
+rather than a pass over every block.
+
 Blocklists compose: a :class:`CompositeBlocklist` blocks when any member
 does.  The interplay the benchmarks explore: a ZMap scan behind the Europe
 blocklist misses EU devices, and the open-dataset correlation step is what
@@ -17,6 +21,7 @@ restores them to the misconfiguration totals.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, List, Sequence
 
 from repro.net.geo import GeoRegistry
@@ -48,9 +53,19 @@ class CidrBlocklist(Blocklist):
 
     def __init__(self, blocks: Sequence[CidrBlock]) -> None:
         self._blocks: List[CidrBlock] = list(blocks)
+        # Sorted, disjoint intervals: overlapping and adjacent blocks merge.
+        self._firsts: List[int] = []
+        self._lasts: List[int] = []
+        for block in sorted(self._blocks, key=lambda b: (b.first, b.last)):
+            if self._lasts and block.first <= self._lasts[-1] + 1:
+                self._lasts[-1] = max(self._lasts[-1], block.last)
+            else:
+                self._firsts.append(block.first)
+                self._lasts.append(block.last)
 
     def blocks(self, address: int) -> bool:
-        return any(block.contains(address) for block in self._blocks)
+        index = bisect_right(self._firsts, address) - 1
+        return index >= 0 and address <= self._lasts[index]
 
     def __len__(self) -> int:
         return len(self._blocks)

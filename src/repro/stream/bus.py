@@ -12,6 +12,12 @@ window raises :class:`~repro.net.errors.CursorLagError` carrying the
 oldest retained sequence, so a slow reader learns exactly how much it
 missed instead of silently skipping evicted events.
 
+The events ring holds ``(row, plane, sim_time)`` entries and builds each
+JSON-able tail payload when a reader asks for it: a replay publishes
+every row of the campaign, but only the last ``event_capacity`` are ever
+readable, and the rows are immutable ``NamedTuple`` records, so a
+payload built on read equals one built on publish.
+
 ``EventBus.tap(store, plane)`` subscribes the bus to a live plane store's
 batch-emission hook (``EventStore.subscribe`` /
 ``ScanDatabase.subscribe`` / ``FlowTupleWriter.subscribe``), so rows
@@ -121,8 +127,14 @@ class RingBuffer:
             return self._start + len(self._items) - 1
 
     def extend(self, items: Iterable[Any]) -> None:
-        for item in items:
-            self.append(item)
+        """Add many items under one lock; same accounting as ``append``
+        per item."""
+        with self._lock:
+            self._items.extend(items)
+            if len(self._items) > self.capacity:
+                drop = len(self._items) - self.capacity
+                del self._items[:drop]
+                self._start += drop
 
     def tail(self, cursor: int = 0) -> Tuple[int, List[Any]]:
         """(next_cursor, retained items with sequence >= cursor).
@@ -146,6 +158,15 @@ class RingBuffer:
             return self._start + len(self._items), items
 
 
+class _EventRing(RingBuffer):
+    """The events ring: holds ``(row, plane, sim_time)`` entries and
+    builds their tail payloads in :meth:`tail`, outside the lock."""
+
+    def tail(self, cursor: int = 0) -> Tuple[int, List[Dict[str, Any]]]:
+        next_cursor, entries = super().tail(cursor)
+        return next_cursor, [_payload(*entry) for entry in entries]
+
+
 class EventBus:
     """Fans published row batches into per-plane operators and buffers."""
 
@@ -167,7 +188,7 @@ class EventBus:
                 f"queue_capacity must be >= 0, got {queue_capacity}"
             )
         self._operators: Dict[str, List[Operator]] = {}
-        self.events = RingBuffer(event_capacity)
+        self.events: RingBuffer = _EventRing(event_capacity)
         self.alerts = RingBuffer(alert_capacity)
         #: Rows published per plane (full counts; the ring only retains
         #: the recent window).
@@ -181,7 +202,7 @@ class EventBus:
         self.dropped_rows = 0
         self.queue_capacity = queue_capacity
         self.publish_policy = publish_policy
-        self._queue: Deque[Tuple[str, List[Any], float, Any]] = deque()
+        self._queue: Deque[Tuple[str, List[Any], float]] = deque()
         self._cond = threading.Condition()
         self._pump: Optional[threading.Thread] = None
         self._pump_busy = False
@@ -218,20 +239,14 @@ class EventBus:
 
     # -- publishing -------------------------------------------------------
 
-    def publish(
-        self,
-        plane: str,
-        rows: Any,
-        *,
-        sim_time: float = 0.0,
-        describe: Optional[Callable[[Any], Dict[str, Any]]] = None,
-    ) -> int:
+    def publish(self, plane: str, rows: Any, *, sim_time: float = 0.0) -> int:
         """Feed one batch to the plane's operators and the event ring.
 
         ``rows`` may be any iterable of row-like objects (it is
-        materialized once).  Only the slice that can fit the ring is
-        converted to tail payloads — a huge batch costs O(capacity) ring
-        work, not O(batch).  Returns the row count.
+        materialized once).  Only the slice that can fit the ring enters
+        it, as ``(row, plane, sim_time)`` entries whose tail payloads
+        are built when read — a huge batch costs O(capacity) ring work,
+        not O(batch).  Returns the row count.
 
         With ``queue_capacity=0`` (default) delivery happens on the
         caller's thread before returning.  Otherwise the batch is
@@ -242,7 +257,7 @@ class EventBus:
         if not isinstance(rows, list):
             rows = list(rows)
         if self.queue_capacity <= 0:
-            self._deliver(plane, rows, sim_time, describe)
+            self._deliver(plane, rows, sim_time)
             return len(rows)
         with self._cond:
             if self._closed:
@@ -262,7 +277,7 @@ class EventBus:
                         self.dropped_batches += 1
                         self.dropped_rows += len(stale[1])
                     self._queue.clear()
-            self._queue.append((plane, rows, sim_time, describe))
+            self._queue.append((plane, rows, sim_time))
             self._cond.notify_all()
         return len(rows)
 
@@ -320,23 +335,17 @@ class EventBus:
                     self._cond.wait(0.1)
                 if not self._queue:
                     return  # closed and flushed
-                plane, rows, sim_time, describe = self._queue.popleft()
+                plane, rows, sim_time = self._queue.popleft()
                 self._pump_busy = True
                 self._cond.notify_all()
             try:
-                self._deliver(plane, rows, sim_time, describe)
+                self._deliver(plane, rows, sim_time)
             finally:
                 with self._cond:
                     self._pump_busy = False
                     self._cond.notify_all()
 
-    def _deliver(
-        self,
-        plane: str,
-        rows: List[Any],
-        sim_time: float,
-        describe: Optional[Callable[[Any], Dict[str, Any]]],
-    ) -> None:
+    def _deliver(self, plane: str, rows: List[Any], sim_time: float) -> None:
         for operator in self._operators.get(plane, []):
             try:
                 operator.feed(rows)
@@ -349,15 +358,20 @@ class EventBus:
                     f"{name}: {type(error).__name__}: {error}"
                 )
         self.published[plane] = self.published.get(plane, 0) + len(rows)
-        describe = describe or _describe_row
-        for row in rows[-self.events.capacity:]:
-            try:
-                payload = describe(row)
-            except Exception:
-                payload = {"repr": repr(row)}
-            payload["plane"] = plane
-            payload["sim_time"] = round(sim_time, 3)
-            self.events.append(payload)
+        self.events.extend(
+            (row, plane, sim_time) for row in rows[-self.events.capacity:]
+        )
+
+
+def _payload(row: Any, plane: str, sim_time: float) -> Dict[str, Any]:
+    """One events-ring entry as its JSON-able tail payload."""
+    try:
+        payload = _describe_row(row)
+    except Exception:
+        payload = {"repr": repr(row)}
+    payload["plane"] = plane
+    payload["sim_time"] = round(sim_time, 3)
+    return payload
 
 
 def _describe_row(row: Any) -> Dict[str, Any]:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.config import StudyConfig
@@ -345,15 +346,17 @@ class CampaignService:
         # (operators are not thread-safe) — day/campaign alerts remain.
         watch_chunks = self.stream.queue_capacity <= 0
         for plane in _PLANES:
-            rows = list(plane_rows(self.study.results, plane))
-            progress = {"rows_total": len(rows), "rows_fed": 0, "batches": 0}
+            # Pull one batch at a time from the store's row iterator
+            # rather than materializing the whole plane first.
+            store = _plane_store(self.study.results, plane)
+            rows = store.iter_rows()
+            progress = {"rows_total": len(store), "rows_fed": 0, "batches": 0}
             self._progress[plane] = progress
             self.current_plane = plane
             watcher = _AlertWatcher(self, plane) if watch_chunks else None
-            for start in range(0, len(rows), size):
+            for batch in iter(lambda: list(islice(rows, size)), []):
                 if self._stop.is_set():
                     return
-                batch = rows[start:start + size]
                 self._advance_clock(plane, batch)
                 self.bus.publish(plane, batch, sim_time=self.sim_time)
                 progress["rows_fed"] += len(batch)
@@ -518,14 +521,19 @@ class CampaignService:
         )
 
 
-def plane_rows(results, plane: str) -> Iterator[Any]:
-    """One plane store's rows in storage order (``scan``, ``attacks`` or
+def _plane_store(results, plane: str) -> Any:
+    """The finished store of one plane (``scan``, ``attacks`` or
     ``telescope``)."""
     if plane == "scan":
-        return results.merged_db.iter_rows()
+        return results.merged_db
     if plane == "attacks":
-        return results.schedule.log.iter_rows()
-    return results.telescope.writer.records()
+        return results.schedule.log
+    return results.telescope.writer
+
+
+def plane_rows(results, plane: str) -> Iterator[Any]:
+    """One plane store's rows in storage order."""
+    return _plane_store(results, plane).iter_rows()
 
 
 def snapshots_match_batch(results, operators: Dict[str, Operator]) -> List[str]:

@@ -8,6 +8,7 @@ from repro.analysis.device_type import identify_device_types
 from repro.analysis.fingerprint import HoneypotFingerprinter, default_signatures
 from repro.analysis.misconfig import (
     VULNERABLE_AMQP_VERSIONS,
+    _classify_text,
     classify_database,
     classify_record,
 )
@@ -133,6 +134,26 @@ class TestMisconfigClassifier:
     def test_empty_records_healthy(self):
         for protocol in ProtocolId:
             assert classify_record(_record(protocol)) == Misconfig.NONE
+
+
+class TestMisconfigCache:
+    """The verdict cache keyed on (protocol, banner, response)."""
+
+    def test_cached_equals_uncached_handler(self, quick_study):
+        uncached = _classify_text.__wrapped__
+        for row in quick_study.merged_db.iter_rows():
+            assert classify_record(row) == uncached(
+                row.protocol, row.banner, row.response
+            )
+
+    def test_cache_stays_within_maxsize(self):
+        maxsize = _classify_text.cache_info().maxsize
+        assert maxsize == 4096
+        for index in range(maxsize + 100):
+            classify_record(_record(
+                ProtocolId.TELNET, banner=b"host%d:~$ " % index,
+            ))
+        assert _classify_text.cache_info().currsize <= maxsize
 
 
 class TestPipelineFidelity:

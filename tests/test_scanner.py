@@ -1,11 +1,14 @@
 """Tests for the scan engine, records, probes and blocklists."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.device_type import build_device_signatures
 from repro.internet.fabric import SimulatedInternet
 from repro.internet.host import SimulatedHost
 from repro.net.geo import GeoRegistry
-from repro.net.ipv4 import CidrBlock, ip_to_int
+from repro.net.ipv4 import RESERVED_BLOCKS, CidrBlock, ip_to_int
 from repro.protocols.base import DEFAULT_PORTS, ProtocolId, TransportKind
 from repro.protocols.mqtt import MqttBroker, MqttConfig
 from repro.protocols.telnet import TelnetConfig, TelnetServer
@@ -138,6 +141,43 @@ class TestScanDatabase:
         assert bytes.fromhex(row["banner"]) == b"x"
 
 
+def _block(address, prefix):
+    """The ``/prefix`` block holding ``address`` (host bits zeroed)."""
+    mask = 0 if prefix == 0 else (0xFFFFFFFF << (32 - prefix)) & 0xFFFFFFFF
+    return CidrBlock(address & mask, prefix)
+
+
+@st.composite
+def _cidr_sets(draw):
+    """CIDR sets with overlapping, nested and adjacent blocks, ``/0``,
+    ``/32`` and the reserved ranges."""
+    blocks = draw(st.lists(
+        st.one_of(
+            st.builds(_block, st.integers(0, 2**32 - 1), st.integers(0, 32)),
+            st.builds(_block, st.integers(0, 2**32 - 1), st.just(32)),
+            st.just(_block(0, 0)),
+            st.sampled_from(RESERVED_BLOCKS),
+        ),
+        max_size=6,
+    ))
+    if draw(st.booleans()):
+        blocks += RESERVED_BLOCKS
+    for block in list(blocks):
+        kind = draw(st.sampled_from(("nested", "sibling", "next", "super", "")))
+        if kind == "nested" and block.prefix < 32:
+            blocks.append(_block(
+                draw(st.integers(block.first, block.last)),
+                draw(st.integers(block.prefix + 1, 32)),
+            ))
+        elif kind == "sibling" and block.prefix > 0:
+            blocks.append(_block(block.first ^ block.size, block.prefix))
+        elif kind == "next" and block.last < 2**32 - 1:
+            blocks.append(_block(block.last + 1, draw(st.integers(block.prefix, 32))))
+        elif kind == "super" and block.prefix > 0:
+            blocks.append(_block(block.first, draw(st.integers(0, block.prefix - 1))))
+    return draw(st.permutations(blocks))
+
+
 class TestBlocklists:
     def test_zmap_default_blocks_reserved(self):
         blocklist = zmap_default_blocklist()
@@ -162,6 +202,19 @@ class TestBlocklists:
         assert blocklist.blocks(ip_to_int("1.1.1.1"))
         assert blocklist.blocks(ip_to_int("2.1.1.1"))
         assert not blocklist.blocks(ip_to_int("3.1.1.1"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cidr_sets(), st.lists(st.integers(0, 2**32 - 1), max_size=5))
+    def test_merged_intervals_equal_any_contains(self, blocks, extra):
+        blocklist = CidrBlocklist(blocks)
+        probes = {0, 2**32 - 1, *extra}
+        for block in blocks:
+            probes.update((block.first - 1, block.first, block.last, block.last + 1))
+        for address in sorted(a for a in probes if 0 <= a < 2**32):
+            assert blocklist.blocks(address) == any(
+                block.contains(address) for block in blocks
+            ), (address, blocks)
+        assert len(blocklist) == len(blocks)
 
 
 class TestTagEngine:
@@ -195,3 +248,45 @@ class TestTagEngine:
             transport=TransportKind.TCP, banner=b"marker",
         )
         assert engine.tag_record(banner_only).tag("k") is None
+
+
+class TestTagMemo:
+    """Tags memoized per (protocol, banner, response) equal a fresh
+    signature fold, and callers cannot change the memo."""
+
+    def test_tags_equal_signature_fold(self, quick_study):
+        signatures = build_device_signatures()
+        engine = TagEngine(signatures)
+        rows = list(quick_study.merged_db.iter_rows())
+        for row in rows:
+            expected = {}
+            for signature in signatures:
+                if signature.matches(row):
+                    for namespace, value in signature.tags:
+                        expected.setdefault(namespace, value)
+            assert engine.tag_record(row).tags == expected
+        texts = {(row.protocol, row.banner, row.response) for row in rows}
+        assert len(texts) < len(rows)  # the memo was hit
+
+    def test_mutating_returned_tags_leaves_memo(self, quick_study):
+        engine = TagEngine(build_device_signatures())
+        row = next(
+            row for row in quick_study.merged_db.iter_rows()
+            if engine.tag_record(row).tags
+        )
+        expected = dict(engine.tag_record(row).tags)
+        poisoned = engine.tag_record(row)
+        poisoned.tags.clear()
+        poisoned.tags["device_type"] = "poisoned"
+        assert engine.tag_record(row).tags == expected
+        assert engine.tag_record(row._replace(address=row.address + 1)).tags == expected
+
+    def test_matches_delegates_to_text(self):
+        signature = TagSignature("PK5001Z", (("k", "v"),), protocol="telnet")
+        record = ScanRecord(
+            address=1, port=23, protocol=ProtocolId.TELNET,
+            transport=TransportKind.TCP, banner=b"PK5001Z login:",
+        )
+        assert signature.matches(record)
+        assert signature.matches_text("telnet", "PK5001Z login:", "")
+        assert not signature.matches_text("mqtt", "PK5001Z login:", "")

@@ -11,6 +11,11 @@ pinned by ``test_analysis_goldens.py``.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
+from typing import Any, Dict, FrozenSet
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +30,9 @@ from repro.analysis.country import country_distribution_of
 from repro.analysis.device_type import identify_device_types
 from repro.analysis.misconfig import classify_database
 from repro.analysis.recurrence import RecurrenceClassifier
+from repro.core.taxonomy import Misconfig
 from repro.net.errors import ServeError
+from repro.protocols.base import ProtocolId
 from repro.stream import (
     AttackOriginsOperator,
     CountryOperator,
@@ -226,3 +233,88 @@ class TestSnapshotDigest:
         assert snapshot_digest(report) == snapshot_digest(
             classify_database(results.merged_db)
         )
+
+
+def _canonical_oracle(value: Any) -> Any:
+    """``repro.core.operator._canonical`` as it was before int items and
+    keys got a ``str`` sort key: every sort key is ``json.dumps``."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__type__": type(value).__name__,
+            **{
+                field.name: _canonical_oracle(getattr(value, field.name))
+                for field in fields(value)
+            },
+        }
+    if isinstance(value, Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, dict):
+        items = [
+            (json.dumps(_canonical_oracle(key), sort_keys=True),
+             _canonical_oracle(item))
+            for key, item in value.items()
+        ]
+        return {key: item for key, item in sorted(items)}
+    if isinstance(value, (set, frozenset)):
+        return sorted(
+            (_canonical_oracle(item) for item in value),
+            key=lambda item: json.dumps(item, sort_keys=True),
+        )
+    if isinstance(value, (list, tuple)):
+        return [_canonical_oracle(item) for item in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    if isinstance(value, bytes):
+        return value.hex()
+    return repr(value)
+
+
+def _digest_oracle(snapshot: Any) -> str:
+    canonical = json.dumps(
+        _canonical_oracle(snapshot), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@dataclass
+class _MixedSnapshot:
+    by_key: Dict[Any, Any]
+    items: FrozenSet[Any]
+
+
+_HASHABLE = st.one_of(
+    st.integers(-2**40, 2**40),
+    st.booleans(),
+    st.text(max_size=4),
+    st.tuples(st.integers(-20, 200), st.text(max_size=2)),
+    st.sampled_from(list(ProtocolId)),
+)
+
+
+class TestDigestSortKeys:
+    """``snapshot_digest`` equals the pre-change canonical form."""
+
+    def test_mixed_keys_and_items(self):
+        snapshot = {
+            "ints": {3, 10, 2, 100, -7, 2**40},
+            "mixed": {10, 9, True, "10", (1, "a"), (10,), ProtocolId.MQTT},
+            "keys": {10: 1, 9: {2, 11}, False: "f", "9": 3, (2, "x"): [True],
+                     Misconfig.MQTT_NO_AUTH: {5, 40}},
+        }
+        assert snapshot_digest(snapshot) == _digest_oracle(snapshot)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(_HASHABLE, st.frozensets(_HASHABLE, max_size=6),
+                        max_size=8),
+        st.frozensets(_HASHABLE, max_size=12),
+    )
+    def test_any_mixed_snapshot(self, by_key, items):
+        snapshot = _MixedSnapshot(by_key=by_key, items=items)
+        assert snapshot_digest(snapshot) == _digest_oracle(snapshot)
+
+    def test_recurrence_snapshot(self):
+        operator = RecurrenceOperator()
+        operator.feed(rows_of(7, "attacks"))
+        snapshot = operator.finalize()
+        assert snapshot_digest(snapshot) == _digest_oracle(snapshot)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import time
+from itertools import islice
 
 import pytest
 
 from repro import Study, StudyConfig
 from repro.honeypots.events import EventStore
-from repro.net.errors import ConfigError, ServeError
+from repro.net.errors import ConfigError, CursorLagError, ServeError
 from repro.scanner.records import ScanDatabase
 from repro.stream import (
     Alert,
@@ -19,6 +20,7 @@ from repro.stream import (
     RingBuffer,
     StreamConfig,
 )
+from repro.stream.bus import _describe_row
 from repro.telescope.flowtuple import FlowTupleWriter
 
 
@@ -53,6 +55,58 @@ class TestRingBuffer:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             RingBuffer(capacity=0)
+
+    def test_extend_matches_per_item_append(self):
+        batched, reference = RingBuffer(capacity=4), RingBuffer(capacity=4)
+        for batch in ([1, 2, 3], [4, 5, 6, 7, 8, 9], [], [10]):
+            batched.extend(batch)
+            for item in batch:
+                reference.append(item)
+            assert batched.tail(0) == reference.tail(0)
+            assert (batched.total, batched.dropped) == (
+                reference.total, reference.dropped
+            )
+
+
+def _lag_oldest(ring, cursor):
+    with pytest.raises(CursorLagError) as caught:
+        ring.tail(cursor)
+    return caught.value.oldest
+
+
+class TestEventsRingOnRead:
+    """Tail payloads built on read equal the payloads built on publish."""
+
+    def test_payloads_and_accounting_match_eager_reference(self, quick_study):
+        bus = EventBus()
+        capacity = bus.events.capacity
+        assert capacity == 1024
+        reference = RingBuffer(capacity)
+        planes = (
+            ("scan", list(quick_study.merged_db.iter_rows())[:700], 300),
+            ("attacks", list(quick_study.schedule.log.iter_rows())[:900], 256),
+            ("telescope",
+             list(islice(quick_study.telescope.writer.records(), 1500)), 1500),
+        )
+        sim_time = 0.0
+        for plane, rows, size in planes:
+            for start in range(0, len(rows), size):
+                batch = rows[start:start + size]
+                sim_time += 1.0 / 3
+                bus.publish(plane, batch, sim_time=sim_time)
+                # The eager path: payloads built per appended item.
+                for row in batch[-capacity:]:
+                    payload = _describe_row(row)
+                    payload["plane"] = plane
+                    payload["sim_time"] = round(sim_time, 3)
+                    reference.append(payload)
+                assert bus.events.total == reference.total
+                assert bus.events.dropped == reference.dropped
+                assert bus.events.tail(0) == reference.tail(0)
+                middle = reference.total - 5
+                assert bus.events.tail(middle) == reference.tail(middle)
+        assert bus.events.dropped > 0
+        assert _lag_oldest(bus.events, 1) == _lag_oldest(reference, 1)
 
 
 class TestEventBus:
