@@ -139,6 +139,10 @@ class AttackOriginsOperator(OperatorBase):
                     self._tor_daily_events.get(day, 0) + 1
                 )
 
+    def dos_source_count(self) -> int:
+        """Distinct DoS sources over the rows fed so far."""
+        return len(self._dos_sources)
+
     def dos_origins(self) -> List[Tuple[str, int]]:
         """Top origin countries of the DoS sources: (country name,
         distinct sources) pairs, descending — the §5.1 "attacks came

@@ -104,7 +104,14 @@ class RecurrenceClassifier:
 class RecurrenceOperator(OperatorBase):
     """The recurrence fold online: one :class:`RecurrencePattern` per
     source; the snapshot holds ``patterns``, ``recurring`` and
-    ``one_time``."""
+    ``one_time``.
+
+    The recurring set is kept current as rows arrive — a verdict depends
+    only on the source's active days, so it is re-evaluated when a row
+    adds a day — which makes :meth:`recurring_count` O(1).  A verdict
+    can flip both ways: a late day can stretch the span until the
+    regularity drops below the threshold.
+    """
 
     name = "recurrence"
     plane = "attacks"
@@ -115,14 +122,26 @@ class RecurrenceOperator(OperatorBase):
         super().__init__()
         self._classifier = classifier or RecurrenceClassifier()
         self._patterns: Dict[int, RecurrencePattern] = {}
+        self._recurring: Set[int] = set()
 
     def _feed_row(self, row: Any) -> None:
-        pattern = self._patterns.get(row.source)
+        source = row.source
+        pattern = self._patterns.get(source)
         if pattern is None:
-            pattern = RecurrencePattern(source=row.source)
-            self._patterns[row.source] = pattern
-        pattern.active_days.add(row.day)
+            pattern = RecurrencePattern(source=source)
+            self._patterns[source] = pattern
         pattern.total_events += 1
+        if row.day in pattern.active_days:
+            return
+        pattern.active_days.add(row.day)
+        if self._classifier.is_recurring(pattern):
+            self._recurring.add(source)
+        else:
+            self._recurring.discard(source)
+
+    def recurring_count(self) -> int:
+        """Sources classified recurring over the rows fed so far."""
+        return len(self._recurring)
 
     def patterns(self) -> Dict[int, RecurrencePattern]:
         return {
@@ -135,14 +154,8 @@ class RecurrenceOperator(OperatorBase):
         }
 
     def classify(self) -> Tuple[Set[int], Set[int]]:
-        recurring: Set[int] = set()
-        one_time: Set[int] = set()
-        for source, pattern in self._patterns.items():
-            if self._classifier.is_recurring(pattern):
-                recurring.add(source)
-            else:
-                one_time.add(source)
-        return recurring, one_time
+        recurring = set(self._recurring)
+        return recurring, set(self._patterns).difference(recurring)
 
     def snapshot(self) -> Dict[str, Any]:
         recurring, one_time = self.classify()

@@ -55,7 +55,8 @@ Robustness knobs (all byte-identity preserving):
   recorded as ``degraded`` in the metrics while the study completes;
 * ``--resume`` — replay the per-task completion journal a previous
   interrupted invocation left under ``--cache-dir``, re-executing only
-  unfinished tasks (output byte-identical to an uninterrupted run);
+  unfinished tasks on the five journaled planes (scan, sonar, shodan,
+  attacks, telescope; output byte-identical to an uninterrupted run);
 * ``--task-deadline SOFT[:HARD]`` — per-task wall-time supervision in
   seconds: overrunning SOFT records a stall warning in the metrics;
   overrunning HARD retries the task as a transient fault (byte-identical
@@ -196,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "degraded and continue")
         sub.add_argument("--resume", action="store_true",
                          help="replay the per-task completion journal of a "
-                              "previous interrupted run (requires "
-                              "--cache-dir; output is byte-identical to an "
-                              "uninterrupted run)")
+                              "previous interrupted run on every task "
+                              "plane: scan, sonar, shodan, attacks, "
+                              "telescope (requires --cache-dir; output is "
+                              "byte-identical to an uninterrupted run)")
         sub.add_argument("--task-deadline", metavar="SOFT[:HARD]",
                          default="",
                          help="per-task wall-time supervision in seconds: "

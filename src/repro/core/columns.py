@@ -252,6 +252,14 @@ class ColumnTable:
         for column, values in zip(self._columns.values(), zip(*records)):
             column.extend(values)
 
+    def _extend_table(self, table: "ColumnTable") -> None:
+        """Append every row of ``table`` (same ``ROW``) column by column,
+        without building row tuples."""
+        for name, column in table._columns.items():
+            self._columns[name].extend(
+                column.view() if isinstance(column, NumpyColumn) else column
+            )
+
     def append_batch(self, rows: Iterable[tuple]) -> int:
         """:meth:`extend`, counted in ``batch_appends`` and announced to
         the observers; returns the row count."""

@@ -88,7 +88,9 @@ __all__ = [
 #: Version 4: the scan and attack stores are ``ColumnTable``s keeping
 #: their columns in one dict and yielding ``NamedTuple`` rows; a
 #: version-3 entry holds the old per-field column attributes.
-ENGINE_SCHEMA_VERSION = 4
+#: Version 5: XMPP stream ids are numbered per peer, so a serial run's
+#: ``shodan_db`` no longer carries ids shifted by our own scan's sessions.
+ENGINE_SCHEMA_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -680,28 +682,29 @@ def _phase_zmap(engine: StudyEngine) -> Dict[str, object]:
     return {"zmap_db": database}
 
 
-def _phase_sonar(engine: StudyEngine) -> Dict[str, object]:
-    from repro.scanner.datasets import project_sonar
+def _phase_dataset(engine: StudyEngine, name: str) -> Dict[str, object]:
+    """One open-dataset provider's sweep, journaled like the ZMap plane:
+    a resumed campaign replays the provider's tasks instead of re-probing
+    the world."""
+    from repro.scanner.datasets import project_sonar, shodan
 
+    artifact = f"{name}_db"
     if not engine.config.use_open_datasets:
-        return {"sonar_db": None}
-    faults.maybe_fail("dataset.load", "sonar")
-    population = engine.artifact("population")
-    provider = project_sonar(engine.config.seed)
+        return {artifact: None}
+    faults.maybe_fail("dataset.load", name)
+    provider = {"sonar": project_sonar, "shodan": shodan}[name](
+        engine.config.seed
+    )
     provider.retries = engine.config.scan.retries
-    return {"sonar_db": provider.snapshot(population.internet)}
-
-
-def _phase_shodan(engine: StudyEngine) -> Dict[str, object]:
-    from repro.scanner.datasets import shodan
-
-    if not engine.config.use_open_datasets:
-        return {"shodan_db": None}
-    faults.maybe_fail("dataset.load", "shodan")
-    population = engine.artifact("population")
-    provider = shodan(engine.config.seed)
-    provider.retries = engine.config.scan.retries
-    return {"shodan_db": provider.snapshot(population.internet)}
+    journal = engine.task_journal(name)
+    deadline = engine.task_deadline()
+    database = provider.snapshot(
+        engine.artifact("population").internet,
+        journal=journal,
+        deadline=deadline,
+    )
+    engine.metrics.record_supervision(name, journal=journal, deadline=deadline)
+    return {artifact: database}
 
 
 def _phase_merge(engine: StudyEngine) -> Dict[str, object]:
@@ -914,13 +917,15 @@ def build_study_graph(config: StudyConfig) -> PhaseGraph:
     graph.register(PhaseSpec(
         name="sonar", provides=("sonar_db",),
         requires=("population",),
-        group="scan", run=_phase_sonar, count=_count_db("sonar_db"),
+        group="scan", run=functools.partial(_phase_dataset, name="sonar"),
+        count=_count_db("sonar_db"),
         optional=True,
     ))
     graph.register(PhaseSpec(
         name="shodan", provides=("shodan_db",),
         requires=("population",),
-        group="scan", run=_phase_shodan, count=_count_db("shodan_db"),
+        group="scan", run=functools.partial(_phase_dataset, name="shodan"),
+        count=_count_db("shodan_db"),
         optional=True,
     ))
     graph.register(PhaseSpec(

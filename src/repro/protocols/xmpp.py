@@ -93,7 +93,9 @@ class XmppServer(ProtocolServer):
         self.config = config
         self.state: Dict[str, str] = dict(config.device_state)
         self.poison_events = 0
-        self._stream_counter = 0
+        #: Stream ids numbered per peer address, so one vantage point's
+        #: sessions never shift the ids another vantage point is handed.
+        self._stream_counters: Dict[int, int] = {}
 
     def banner(self) -> bytes:
         return b""  # client speaks first in XMPP
@@ -103,9 +105,10 @@ class XmppServer(ProtocolServer):
         if session.state == "new":
             if "<stream:stream" not in text:
                 return ServerReply(close=True)
-            self._stream_counter += 1
+            counter = self._stream_counters.get(session.peer, 0) + 1
+            self._stream_counters[session.peer] = counter
             session.state = "features-sent"
-            reply = stream_open(self.config.domain, f"s{self._stream_counter:08d}")
+            reply = stream_open(self.config.domain, f"s{counter:08d}")
             reply += stream_features(
                 self.config.mechanisms, self.config.starttls, self.config.tls_required
             )

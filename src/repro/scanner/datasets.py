@@ -22,8 +22,11 @@ identical nor disjoint).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.core.tasks import TaskDeadline, TaskJournal
 from repro.internet.fabric import SimulatedInternet
 from repro.net.prng import RandomStream
 from repro.protocols.base import ProtocolId
@@ -82,32 +85,56 @@ class DatasetProvider:
     #: are ridden out in every vantage point, not just our own scan.
     retries: int = 0
 
-    def snapshot(self, internet: SimulatedInternet) -> ScanDatabase:
-        """Scan the world with this provider's coverage and publish."""
-        database = ScanDatabase()
+    def snapshot(
+        self,
+        internet: SimulatedInternet,
+        journal: Optional[TaskJournal] = None,
+        deadline: Optional[TaskDeadline] = None,
+    ) -> ScanDatabase:
+        """Scan the world with this provider's coverage and publish.
+
+        One campaign sweeps every covered protocol.  Blocklist admission
+        is decided once per host; each protocol's coverage is one batch
+        of uniform draws over the hosts in world order, bit-identical to
+        a ``bernoulli`` draw per host.  The rows come out grouped by
+        protocol in coverage order, each group in canonical order.  An
+        optional ``journal`` records (and on resume replays) the sweep's
+        tasks, and ``deadline`` supervises them, as for our own scan.
+        """
+        scanner = InternetScanner(
+            internet,
+            ScanConfig(
+                scanner_address=self.scanner_address,
+                protocols=tuple(self.coverage),
+                seed=self.seed,
+                retries=self.retries,
+            ),
+        )
+        addresses = [host.address for host in internet.hosts()]
+        blocks = scanner.blocklist.blocks
+        unblocked = np.array(
+            [not blocks(address) for address in addresses], dtype=bool
+        )
+        world = np.array(addresses, dtype=np.int64)
+        admitted: Dict[ProtocolId, List[int]] = {}
         for protocol, rate in self.coverage.items():
             stream = RandomStream(self.seed, f"dataset.{self.name}.{protocol}")
-            included: Set[int] = {
-                host.address
-                for host in internet.hosts()
-                if stream.bernoulli(min(1.0, rate))
-            }
-            scanner = InternetScanner(
-                internet,
-                ScanConfig(
-                    scanner_address=self.scanner_address,
-                    protocols=(protocol,),
-                    seed=self.seed,
-                    retries=self.retries,
-                ),
-                host_filter=included.__contains__,
-            )
-            snapshot = scanner.run_campaign()
-            restrictions = (self.port_restrictions or {}).get(protocol)
-            if restrictions is not None:
-                snapshot = snapshot.where(port=restrictions)
-            snapshot.set_source(self.name)
-            database.append_batch(snapshot.iter_rows())
+            covered = stream.uniform_array(len(addresses)) < min(1.0, rate)
+            admitted[protocol] = np.sort(world[covered & unblocked]).tolist()
+        sweeps = scanner.sweep(admitted, journal=journal, deadline=deadline)
+        restrictions = self.port_restrictions or {}
+        rows: List[tuple] = []
+        for protocol, protocol_rows in sweeps.items():
+            protocol_rows.sort(key=ScanDatabase.canonical_key)
+            ports = restrictions.get(protocol)
+            if ports is not None:
+                protocol_rows = [
+                    row for row in protocol_rows if row[1] in ports
+                ]
+            rows.extend(protocol_rows)
+        database = ScanDatabase()
+        database.append_batch(rows)
+        database.set_source(self.name)
         return database
 
 

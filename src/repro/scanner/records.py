@@ -21,7 +21,7 @@ timestamp, lists for the rest), and every row it yields — from
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, NamedTuple, Optional, Set
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set
 
 import numpy as np
 
@@ -126,13 +126,24 @@ class ScanDatabase(ColumnTable):
         This is the paper's dataset-correlation step: ZMap results merged
         with Project Sonar / Shodan rows.  The first occurrence wins, so
         our own scan's richer banners are preferred over dataset rows.
+        The keys are read off the key columns and the kept rows appended
+        as column slices; a side that contributes no row appends nothing.
         """
-        seen = set()
-        rows = []
-        for db in (self, other):
-            for row in db.iter_rows():
-                key = (row.address, row.port, row.protocol)
+        merged = ScanDatabase()
+        seen: Set[tuple] = set()
+        for table in (self, other):
+            columns = table._columns
+            kept: List[int] = []
+            for position, key in enumerate(zip(
+                columns["address"].tolist(),
+                columns["port"].tolist(),
+                columns["protocol"],
+            )):
                 if key not in seen:
                     seen.add(key)
-                    rows.append(row)
-        return ScanDatabase(rows)
+                    kept.append(position)
+            if len(kept) == len(table):
+                merged._extend_table(table)
+            elif kept:
+                merged._extend_table(table._take(kept))
+        return merged

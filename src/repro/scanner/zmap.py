@@ -206,34 +206,68 @@ class InternetScanner:
         campaign can be resumed with byte-identical output.  An optional
         ``deadline`` arms per-shard wall-time supervision.
         """
-        planner = ShardPlanner(self.config.shards, self.config.shard_strategy)
         allowed = self._allowed_addresses()
-        shards = planner.partition(allowed)
+        sweeps = self.sweep(
+            {protocol: allowed for protocol in self.config.protocols},
+            journal=journal,
+            deadline=deadline,
+        )
+        rows = [row for swept in sweeps.values() for row in swept]
+        # Canonical merge order across the whole campaign, so every shard
+        # count produces a byte-identical database.
+        rows.sort(key=ScanDatabase.canonical_key)
+        database = ScanDatabase()
+        database.append_batch(rows)
+        return database
+
+    def sweep(
+        self,
+        admitted: Dict[ProtocolId, Sequence[int]],
+        journal: Optional[TaskJournal] = None,
+        deadline: Optional[TaskDeadline] = None,
+    ) -> Dict[ProtocolId, List[tuple]]:
+        """Sweep + grab each protocol over its own admitted addresses.
+
+        ``admitted`` maps protocol → sorted addresses that already passed
+        admission; the scanner applies no blocklist or host filter here.
+        Returns each protocol's rows in shard order (not canonical order):
+        :meth:`run_campaign` sorts the whole campaign, the open-dataset
+        providers sort per protocol.  Tasks, journal entries and probe
+        order are those of :meth:`run_campaign` — a protocol's shard
+        shuffle is keyed on (seed, protocol, shard), not on its address
+        list or on the other protocols swept beside it.
+        """
+        planner = ShardPlanner(self.config.shards, self.config.shard_strategy)
         self.shard_timings = []
         # One merged batch across every (protocol, shard) unit — not one
         # batch per protocol — so the process executor pays its worker
         # bootstrap (pickling the world into each worker) once per
         # campaign instead of once per protocol, and the pool can overlap
         # a slow protocol's tail with the next protocol's shards.
+        # Protocols handed the same address list share one partition.
+        partitions: Dict[int, List[List[int]]] = {}
         tasks: List[Tuple[ProtocolId, int]] = []
+        payloads = []
         refs = []
-        for protocol in self.config.protocols:
+        for protocol, addresses in admitted.items():
+            shards = partitions.get(id(addresses))
+            if shards is None:
+                shards = planner.partition(addresses)
+                partitions[id(addresses)] = shards
             protocol_refs = planner.refs(str(protocol))
-            for index in range(len(shards)):
+            for index, shard in enumerate(shards):
                 tasks.append((protocol, index))
+                payloads.append((protocol, index, tuple(shard)))
                 refs.append(protocol_refs[index])
         plan = TaskPlan(
             run=_scan_worker_run,
-            payloads=[
-                (protocol, index, tuple(shards[index]))
-                for protocol, index in tasks
-            ],
+            payloads=payloads,
             context=(self.internet, self.config),
             setup=_scan_worker_setup,
         )
         outcomes = run_tasks(
             plan,
-            len(shards),
+            planner.shards,
             refs=refs,
             retries=self.config.retries,
             journal=journal,
@@ -242,11 +276,13 @@ class InternetScanner:
             stats=self.executor_stats,
         )
 
-        rows: List[tuple] = []
+        sweeps: Dict[ProtocolId, List[tuple]] = {
+            protocol: [] for protocol in admitted
+        }
         for (protocol, index), (shard_rows, probes, seconds) in zip(
             tasks, outcomes
         ):
-            rows.extend(shard_rows)
+            sweeps[protocol].extend(shard_rows)
             self.probes_sent += probes
             self.shard_timings.append(
                 ShardTiming(
@@ -257,12 +293,7 @@ class InternetScanner:
                     probes=probes,
                 )
             )
-        # Canonical merge order across the whole campaign, so every shard
-        # count produces a byte-identical database.
-        rows.sort(key=ScanDatabase.canonical_key)
-        database = ScanDatabase()
-        database.append_batch(rows)
-        return database
+        return sweeps
 
     # -- sharded pipeline ----------------------------------------------------
 

@@ -363,7 +363,7 @@ class CampaignService:
                 progress["batches"] += 1
                 self._beat()
                 if watcher is not None:
-                    watcher.after_batch(batch)
+                    watcher.after_batch()
                 if eps > 0:
                     self._pace(len(batch) / eps)
             if watcher is not None:
@@ -565,10 +565,9 @@ def snapshots_match_batch(results, operators: Dict[str, Operator]) -> List[str]:
 class _AlertWatcher:
     """Turns operator-state growth into alerts at chunk granularity.
 
-    After every batch it counts RSDoS detections (``snapshot()``, which
-    sorts every bucket), recurring sources (``classify()``, which walks
-    every source) and DoS sources (a set size), so a batch costs time
-    that grows with the operator state, not O(1).
+    After every batch it reads three counts the operators keep current
+    as rows arrive — RSDoS detections, recurring sources and DoS
+    sources — so a batch costs O(1) here, whatever the operator state.
     """
 
     def __init__(self, service: CampaignService, plane: str) -> None:
@@ -578,13 +577,13 @@ class _AlertWatcher:
         self._recurring_seen = 0
         self._dos_sources_seen = 0
 
-    def after_batch(self, batch: Sequence[Any]) -> None:
+    def after_batch(self) -> None:
         bus = self.service.bus
         sim_time = self.service.sim_time
         day = self.service.sim_day
         for operator in bus.operators(self.plane):
             if operator.name == "rsdos":
-                detected = len(operator.snapshot())
+                detected = operator.detected_count()
                 if detected > self._rsdos_seen:
                     bus.alert(
                         self.plane, "rsdos-detected",
@@ -595,7 +594,7 @@ class _AlertWatcher:
                     )
                     self._rsdos_seen = detected
             elif operator.name == "recurrence":
-                recurring = len(operator.classify()[0])
+                recurring = operator.recurring_count()
                 if recurring > self._recurring_seen:
                     bus.alert(
                         self.plane, "recurring-source",
@@ -606,7 +605,7 @@ class _AlertWatcher:
                     )
                     self._recurring_seen = recurring
             elif operator.name == "attack_origins":
-                dos_sources = len(operator._dos_sources)
+                dos_sources = operator.dos_source_count()
                 if dos_sources >= self._dos_sources_seen + 25:
                     bus.alert(
                         self.plane, "dos-sources",

@@ -20,7 +20,7 @@ This module provides both directions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.columns import ColumnStore
 from repro.core.operator import OperatorBase
@@ -167,6 +167,9 @@ class RsdosOperator(OperatorBase):
         self._packet_scale = packet_scale
         #: (src_ip, src_port, day) -> [backscatter packets, dark targets]
         self._buckets: Dict[Tuple[int, int, int], list] = {}
+        #: Buckets already past the threshold; target sets only grow,
+        #: so a bucket never leaves.
+        self._detected: Set[Tuple[int, int, int]] = set()
 
     def _feed_row(self, row: FlowTupleRecord) -> None:
         if row.tcp_flags != _BACKSCATTER_FLAGS:
@@ -177,15 +180,21 @@ class RsdosOperator(OperatorBase):
             bucket = [0, set()]
             self._buckets[key] = bucket
         bucket[0] += row.packet_count
-        bucket[1].add(row.dst_ip)
+        targets = bucket[1]
+        targets.add(row.dst_ip)
+        if len(targets) >= self._min_dark_targets:
+            self._detected.add(key)
+
+    def detected_count(self) -> int:
+        """Attacks detected over the rows fed so far — ``len(snapshot())``
+        without building the snapshot."""
+        return len(self._detected)
 
     def snapshot(self) -> List[RsdosAttack]:
         attacks: List[RsdosAttack] = []
-        for (victim, port, day), (packets, targets) in sorted(
-            self._buckets.items()
-        ):
-            if len(targets) < self._min_dark_targets:
-                continue
+        for key in sorted(self._detected):
+            victim, port, day = key
+            packets, targets = self._buckets[key]
             attacks.append(RsdosAttack(
                 victim=victim,
                 victim_port=port,

@@ -11,6 +11,8 @@ the rest of the pipeline now consumes.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.internet.fabric import ProbeLossModel
@@ -27,7 +29,25 @@ from repro.scanner.zmap import (
     ScanConfig,
     scan_start_day,
 )
+from tests.oracles.row_merge import row_merge
 from tests.oracles.serial_scan import serial_scan
+
+#: Scan rows over a tiny key space (3 addresses x 2 ports x 2
+#: protocols), so generated stores are dense in duplicate keys.
+_scan_rows = st.lists(
+    st.builds(
+        ScanRecord,
+        address=st.integers(1, 3),
+        port=st.sampled_from((23, 1883)),
+        protocol=st.sampled_from((ProtocolId.TELNET, ProtocolId.MQTT)),
+        transport=st.just(TransportKind.TCP),
+        banner=st.binary(max_size=3),
+        response=st.binary(max_size=3),
+        timestamp=st.floats(0, 1e6, allow_nan=False),
+        source=st.sampled_from(("zmap", "sonar", "shodan")),
+    ),
+    max_size=12,
+)
 
 _LOSSY = dict(scale=16_384, honeypot_scale=512, loss_rate=0.12)
 
@@ -225,6 +245,20 @@ class TestColumnarDatabase:
         merged = database.merge(other)
         assert len(merged) == 4
         assert merged.unique_hosts() == {1, 2, 9}
+
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_rows, _scan_rows)
+    def test_merge_equals_row_loop(self, first_rows, second_rows):
+        """The columnar merge against the row loop it replaced: few
+        distinct keys, so duplicates land inside each store and across
+        the two, and either store may be empty."""
+        first, second = ScanDatabase(first_rows), ScanDatabase(second_rows)
+        merged = first.merge(second)
+        expected = row_merge(first, second)
+        assert list(merged.iter_rows()) == list(expected.iter_rows())
+        assert merged.to_jsonl() == expected.to_jsonl()
+        assert type(merged) is ScanDatabase
+        assert merged is not first and merged is not second
 
 
 class TestAcceptContract:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import time
 from itertools import islice
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -21,7 +23,16 @@ from repro.stream import (
     StreamConfig,
 )
 from repro.stream.bus import _describe_row
+from repro.stream.service import (
+    _AlertWatcher,
+    default_operators,
+    plane_rows,
+)
 from repro.telescope.flowtuple import FlowTupleWriter
+from tests.oracles.alert_watcher import (
+    StateWalkingWatcher,
+    recurring_sources,
+)
 
 
 class TestRingBuffer:
@@ -198,6 +209,78 @@ class TestStoreTaps:
         bus.tap(db, "scan")
         db.add(row)
         assert bus.published == {}
+
+
+def _watched_alerts(watcher_class, operators, plane, batches):
+    """Feed ``batches`` to ``operators`` on a bus, running one watcher
+    after each batch; returns the alerts it raised."""
+    bus = EventBus()
+    for operator in operators:
+        bus.register(operator)
+    service = SimpleNamespace(bus=bus, sim_time=0.0, sim_day=0)
+    watcher = watcher_class(service, plane)
+    for day, batch in enumerate(batches):
+        service.sim_day = day
+        bus.publish(plane, batch)
+        watcher.after_batch()
+    _, alerts = bus.alerts.tail(0)
+    return [(a.plane, a.kind, a.message, a.day) for a in alerts]
+
+
+class _Visit(NamedTuple):
+    source: int
+    day: int
+    attack_type: str = "scan"
+    protocol: str = "telnet"
+
+
+class TestAlertWatcher:
+    """The watcher reads counts the operators keep current; every alert
+    must equal what walking the whole operator state would raise."""
+
+    @pytest.mark.parametrize("size", [1, 97, 256])
+    def test_matches_state_walking_reference(self, quick_study, size):
+        for plane in ("attacks", "telescope"):
+            rows = list(plane_rows(quick_study, plane))
+            batches = [rows[i:i + size] for i in range(0, len(rows), size)]
+            alerts = [
+                _watched_alerts(
+                    watcher,
+                    [op for op in default_operators(quick_study)
+                     if op.plane == plane],
+                    plane, batches,
+                )
+                for watcher in (_AlertWatcher, StateWalkingWatcher)
+            ]
+            assert alerts[0] == alerts[1]
+            assert alerts[0], plane
+
+    def test_recurrence_flips_back_to_one_time(self):
+        """A late visit stretches one source's span until its regularity
+        drops below the threshold: the count falls, and the watcher only
+        alerts again once it passes its previous high."""
+        visits = [_Visit(1, day) for day in range(10)]  # recurring
+        visits += [_Visit(1, 60)]  # 11 days over a 61-day span: 0.18
+        visits += [_Visit(2, day) for day in range(20, 30)]
+        visits += [_Visit(3, day) for day in range(30, 40)]
+        operator = RecurrenceOperator()
+        counts = []
+        for visit in visits:
+            operator.feed([visit])
+            assert operator.recurring_count() == recurring_sources(operator)
+            counts.append(operator.recurring_count())
+        assert counts[9] == 1 and counts[10] == 0 and counts[-1] == 2
+        batches = [[visit] for visit in visits]
+        alerts = [
+            _watched_alerts(watcher, [RecurrenceOperator()], "attacks",
+                            batches)
+            for watcher in (_AlertWatcher, StateWalkingWatcher)
+        ]
+        assert alerts[0] == alerts[1]
+        assert [message for _, _, message, _ in alerts[0]] == [
+            "1 source(s) newly classified as recurring scanners (1 total)",
+            "1 source(s) newly classified as recurring scanners (2 total)",
+        ]
 
 
 class TestStreamConfig:
