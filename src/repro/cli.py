@@ -20,14 +20,7 @@ experiment without writing Python:
   a campaign under a randomized fault plan spanning every injection
   site (worker kills and hangs included), let the supervisors recover,
   and assert the artifacts byte-match a fault-free run and pass the
-  validate invariants;
-* ``orchestrate`` — the durable multi-campaign orchestrator
-  (:mod:`repro.orchestrator`): submit one campaign per ``--seeds``
-  entry into a crash-safe write-ahead ledger under ``--state-dir``,
-  run them over a bounded lease-based worker pool, and print the final
-  queue.  Re-running with the same state dir replays the ledger and
-  resumes interrupted campaigns from their task journals,
-  byte-identically.
+  validate invariants.
 
 All commands accept ``--seed`` and the scale knobs, so campaigns are
 reproducible from the shell line alone, plus the engine knobs:
@@ -70,10 +63,7 @@ Robustness knobs (all byte-identity preserving):
   ``fabric.connect``, ``dataset.load``, ``worker.crash`` (a pool worker
   calls ``os._exit``, driving the supervisor's pool rebuild),
   ``worker.hang`` (a pool worker sleeps ``delay`` seconds, driving the
-  no-progress watchdog), ``ledger.io`` (orchestrator ledger appends
-  fail, driving the bounded-retry path) and ``lease.expire`` (an
-  orchestrator campaign's lease heartbeat is suppressed, driving the
-  requeue-and-resume path); an ``@plane`` suffix scopes a rule to one
+  no-progress watchdog); an ``@plane`` suffix scopes a rule to one
   measurement plane's task keys.
 
 Exit codes are stable for shell scripting and defined once as
@@ -84,10 +74,8 @@ errors also exit 2), 3 for a phase-ordering violation
 task or unhandled injected fault (:class:`~repro.net.errors.TaskFailure`,
 :class:`~repro.net.errors.FaultError`), 5 when ``validate`` finds a
 structural invariant violated, 6 when ``serve`` cannot start or the
-streaming service fails (:class:`~repro.net.errors.ServeError`), 7 when
-``orchestrate`` ends with a failed campaign or the orchestrator's
-durable state cannot be written or recovered
-(:class:`~repro.net.errors.OrchestratorError`).
+streaming service fails (:class:`~repro.net.errors.ServeError`).  Code 7
+is retired and will not be reused.
 """
 
 from __future__ import annotations
@@ -122,7 +110,6 @@ from repro.internet.population import PopulationConfig
 from repro.net.errors import (
     ConfigError,
     FaultError,
-    OrchestratorError,
     PhaseOrderError,
     ServeError,
     TaskFailure,
@@ -140,7 +127,6 @@ EXIT_PHASE_ORDER = ExitCode.PHASE_ORDER
 EXIT_TASK_FAILURE = ExitCode.TASK_FAILURE
 EXIT_VALIDATION = ExitCode.VALIDATION
 EXIT_SERVE = ExitCode.SERVE
-EXIT_ORCHESTRATOR = ExitCode.ORCHESTRATOR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "site[@plane]:rate[:kind][:delay] rules "
                               "(sites: task, cache.io, store.corrupt, "
                               "deadline, fabric.connect, dataset.load, "
-                              "worker.crash, worker.hang, ledger.io, "
-                              "lease.expire)")
+                              "worker.crash, worker.hang)")
 
     run = subparsers.add_parser("run", help="full study, all tables")
     add_common(run)
@@ -339,69 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the soaked run's metrics (supervisor "
                             "and bus rows included) as JSON to PATH "
                             "('-' for stdout)")
-
-    orchestrate = subparsers.add_parser(
-        "orchestrate",
-        help="run one campaign per --seeds entry over the durable "
-             "orchestrator: crash-safe ledger under --state-dir, "
-             "lease-based workers, byte-identical resume on restart "
-             "(exit 7 on a failed campaign)",
-    )
-    orchestrate.add_argument("--state-dir", metavar="DIR", required=True,
-                             help="durable orchestrator state: the "
-                                  "write-ahead ledger plus the shared "
-                                  "content-addressed artifact store "
-                                  "(re-running with the same DIR resumes "
-                                  "interrupted campaigns)")
-    orchestrate.add_argument("--seeds", metavar="S1,S2,...", default="7",
-                             help="comma-separated study seeds; one "
-                                  "campaign is submitted per seed "
-                                  "(default 7)")
-    orchestrate.add_argument("--scale", type=int, default=4096,
-                             help="population scale divisor per campaign "
-                                  "(default 4096)")
-    orchestrate.add_argument("--honeypot-scale", type=int, default=256,
-                             help="honeypot scale divisor per campaign "
-                                  "(default 256)")
-    orchestrate.add_argument("--shards", type=int, default=4, metavar="K",
-                             help="scan shards per campaign (default 4)")
-    orchestrate.add_argument("--workers", type=int, default=2, metavar="K",
-                             help="attack/telescope workers per campaign "
-                                  "(default 2)")
-    orchestrate.add_argument("--executor", default="serial",
-                             metavar="{serial,process,auto}",
-                             help="task executor inside each campaign "
-                                  "(default serial)")
-    orchestrate.add_argument("--retries", type=int, default=2, metavar="N",
-                             help="supervised-task retries per campaign "
-                                  "(default 2)")
-    orchestrate.add_argument("--max-active", type=int, default=2,
-                             metavar="N",
-                             help="campaigns leased concurrently "
-                                  "(default 2)")
-    orchestrate.add_argument("--lease-timeout", type=float, default=30.0,
-                             metavar="SECONDS",
-                             help="lease heartbeat deadline; a campaign "
-                                  "that stops heartbeating this long is "
-                                  "requeued and resumed from its journal "
-                                  "(default 30)")
-    orchestrate.add_argument("--restart-budget", type=int, default=3,
-                             metavar="N",
-                             help="lease recoveries per campaign before "
-                                  "the circuit breaker marks it failed "
-                                  "(default 3)")
-    orchestrate.add_argument("--seed", type=int, default=7,
-                             help="fault-plan seed for --inject-faults "
-                                  "(default 7)")
-    orchestrate.add_argument("--inject-faults", metavar="SPEC", default="",
-                             help="deterministic fault injection (same "
-                                  "grammar as the study commands; "
-                                  "ledger.io and lease.expire target the "
-                                  "orchestrator itself)")
-    orchestrate.add_argument("--metrics-json", metavar="PATH", default="",
-                             help="write the final queue document plus "
-                                  "per-campaign metric roll-ups as JSON "
-                                  "to PATH ('-' for stdout)")
 
     return parser
 
@@ -690,83 +612,6 @@ def _cmd_chaos(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_orchestrate(args, out) -> int:
-    import json
-
-    from repro.orchestrator import CampaignSpec, Orchestrator
-
-    try:
-        seeds = [int(part) for part in args.seeds.split(",") if part.strip()]
-    except ValueError as error:
-        raise ConfigError(f"--seeds must be comma-separated integers: "
-                          f"{args.seeds!r}") from error
-    if not seeds:
-        raise ConfigError("--seeds named no seeds")
-
-    orchestrator = Orchestrator(
-        args.state_dir,
-        max_active=args.max_active,
-        max_campaigns=max(8, len(seeds) * 2),
-        lease_timeout=args.lease_timeout,
-        restart_budget=args.restart_budget,
-    )
-    try:
-        ids = [
-            orchestrator.submit(CampaignSpec(
-                seed=seed,
-                scale=args.scale,
-                honeypot_scale=args.honeypot_scale,
-                shards=args.shards,
-                workers=args.workers,
-                retries=args.retries,
-                executor=args.executor,
-            ), reuse=True)
-            for seed in seeds
-        ]
-        orchestrator.drain()
-        queue = orchestrator.queue()
-        failed = []
-        out.write(f"{'id':<6} {'seed':>6} {'state':<10} {'restarts':>8} "
-                  f"detail\n")
-        for campaign_id in ids:
-            doc = orchestrator.status(campaign_id)
-            detail = doc.get("error") or doc.get("reason", "")
-            out.write(f"{doc['id']:<6} {doc['spec']['seed']:>6} "
-                      f"{doc['state']:<10} {doc['restarts']:>8} {detail}\n")
-            if doc["state"] == "failed":
-                failed.append(doc)
-        out.write(f"ledger: {queue['ledger_records']} records, "
-                  f"{queue['ledger_quarantined']} quarantined tails; "
-                  f"dedup hits {queue['dedup_hits']}, lease recoveries "
-                  f"{queue['recovered']}\n")
-        if args.metrics_json:
-            document = {
-                "queue": queue,
-                "campaigns": [orchestrator.status(cid) for cid in ids],
-            }
-            text = json.dumps(document, indent=2, sort_keys=True)
-            if args.metrics_json == "-":
-                out.write(text + "\n")
-            else:
-                try:
-                    with open(args.metrics_json, "w") as handle:
-                        handle.write(text + "\n")
-                except OSError as error:
-                    raise ConfigError(
-                        f"cannot write metrics to "
-                        f"{args.metrics_json!r}: {error}"
-                    ) from error
-        if failed:
-            raise OrchestratorError(
-                f"{len(failed)} campaign(s) failed: "
-                + ", ".join(f"{doc['id']} ({doc.get('error')})"
-                            for doc in failed)
-            )
-    finally:
-        orchestrator.shutdown()
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "scan": _cmd_scan,
@@ -776,7 +621,6 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "serve": _cmd_serve,
     "chaos": _cmd_chaos,
-    "orchestrate": _cmd_orchestrate,
 }
 
 
@@ -806,9 +650,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ServeError as error:
         print(f"repro: serve error: {error}", file=sys.stderr)
         return EXIT_SERVE
-    except OrchestratorError as error:
-        print(f"repro: orchestrator error: {error}", file=sys.stderr)
-        return EXIT_ORCHESTRATOR
     finally:
         if installed:
             faults.uninstall()

@@ -26,15 +26,6 @@ batch oracles and the bus/ring overflow accounting lands in the
 metrics.  Any divergence raises
 :class:`~repro.net.errors.ValidationError` (CLI exit code 5).
 
-A final **orchestrator leg** proves the durable scheduler's crash
-story end-to-end: a child process runs ``repro orchestrate`` over two
-campaigns, the parent SIGKILLs it as soon as task journals start
-landing, then recovers in-process from the same state directory with
-``ledger.io`` and ``lease.expire`` faults still armed.  The ledger
-replay must requeue the leased campaigns, any torn ledger tail must
-quarantine (never poison committed records), and the recovered
-campaigns' artifact digests must byte-match fault-free oracle runs.
-
 The fault plan is *randomized but seeded*: which tasks crash their
 worker, which blobs are corrupted, which attempts fail is drawn from
 ``fault_seed`` via the same keyed-PRNG discipline as the rest of the
@@ -92,12 +83,6 @@ class ChaosConfig:
     #: Working directory for the soaked run's cache + journals; a
     #: temporary directory (removed afterwards) when unset.
     workdir: Optional[str] = None
-    #: Run the orchestrator crash-recovery leg (SIGKILL a child
-    #: ``repro orchestrate``, recover from its ledger in-process).
-    orchestrator_leg: bool = True
-    #: Lease heartbeat deadline for the orchestrator leg; short, so a
-    #: suppressed heartbeat (``lease.expire``) requeues quickly.
-    lease_timeout: float = 5.0
 
     def spec(self) -> str:
         """The fault spec: every site armed, worker faults plane-scoped.
@@ -106,8 +91,6 @@ class ChaosConfig:
         at the telescope plane so the two recovery paths are observed
         independently — a crash breaking a pool mid-generation would
         otherwise reshuffle which hang verdicts ever execute.
-        ``ledger.io`` and ``lease.expire`` only fire inside the
-        orchestrator leg (the study planes never touch those sites).
         """
         if self.fault_spec:
             return self.fault_spec
@@ -117,9 +100,7 @@ class ChaosConfig:
             "store.corrupt:0.15,"
             "deadline:0.002:transient:2.5,"
             "worker.crash@attacks:0.05,"
-            f"worker.hang@telescope:0.05:transient:{self.hang_delay:g},"
-            "ledger.io:0.05:transient,"
-            "lease.expire:0.25"
+            f"worker.hang@telescope:0.05:transient:{self.hang_delay:g}"
         )
 
     def plan(self) -> FaultPlan:
@@ -149,22 +130,6 @@ class ChaosReport:
     downgrades: int = 0
     quarantines: int = 0
     events_evicted: int = 0
-    #: Oracle digests for the orchestrator leg's campaigns, keyed
-    #: ``seed <n>/<artifact>`` (fault-free single-study runs).
-    orchestrator_baseline: Dict[str, str] = field(default_factory=dict)
-    #: Digests the recovered orchestrator recorded for those campaigns.
-    orchestrator_digests: Dict[str, str] = field(default_factory=dict)
-    #: SIGKILLs delivered to the child orchestrator (0 or 1 — 0 means
-    #: the child finished before any journal landed, still recovered).
-    orchestrator_kills: int = 0
-    #: Lease recoveries the restarted orchestrator performed (killed
-    #: leases requeued from the ledger) plus ``lease.expire`` requeues.
-    orchestrator_recoveries: int = 0
-    #: Torn ledger tails quarantined during replay.
-    orchestrator_quarantined: int = 0
-    #: Campaigns the recovered orchestrator left in a non-``done``
-    #: state, with their errors.
-    orchestrator_failures: List[str] = field(default_factory=list)
     wall_seconds: float = 0.0
     metrics: Optional[StudyMetrics] = None
 
@@ -198,19 +163,6 @@ class ChaosReport:
                 )
         found.extend(f"invariant violated: {v}" for v in self.violations)
         found.extend(f"operator parity: {p}" for p in self.parity_problems)
-        for name in sorted(self.orchestrator_baseline):
-            got = self.orchestrator_digests.get(name)
-            if got != self.orchestrator_baseline[name]:
-                found.append(
-                    f"orchestrator artifact {name} diverged after crash "
-                    f"recovery (oracle "
-                    f"{self.orchestrator_baseline[name][:12]}, "
-                    f"recovered {str(got)[:12]})"
-                )
-        found.extend(
-            f"orchestrator campaign failed: {f}"
-            for f in self.orchestrator_failures
-        )
         return found
 
     def render(self) -> str:
@@ -226,19 +178,8 @@ class ChaosReport:
             f"  artifact digests matched: {self.matched}",
             f"  resume replay matched: "
             f"{self.resume_digests == self.baseline_digests}",
+            f"  wall time: {self.wall_seconds:.1f}s",
         ]
-        if self.orchestrator_baseline:
-            lines.extend([
-                f"  orchestrator kills delivered: "
-                f"{self.orchestrator_kills}",
-                f"  orchestrator lease recoveries: "
-                f"{self.orchestrator_recoveries}",
-                f"  orchestrator ledger tails quarantined: "
-                f"{self.orchestrator_quarantined}",
-                f"  orchestrator recovery matched: "
-                f"{self.orchestrator_digests == self.orchestrator_baseline}",
-            ])
-        lines.append(f"  wall time: {self.wall_seconds:.1f}s")
         for problem in self.problems():
             lines.append(f"  FAIL: {problem}")
         return "\n".join(lines) + "\n"
@@ -297,141 +238,6 @@ def _study_config(cfg: ChaosConfig, journal_dir: Optional[str]) -> StudyConfig:
         sub.executor = executor
     config.validate()
     return config
-
-
-def _orchestrator_leg(
-    cfg: ChaosConfig,
-    plan: FaultPlan,
-    workdir: str,
-    baseline_digests: Dict[str, str],
-    say: Callable[[str], Any],
-) -> Dict[str, Any]:
-    """SIGKILL a child orchestrator mid-campaign, recover from its ledger.
-
-    Returns the ``orchestrator_*`` fields of :class:`ChaosReport`.  The
-    leg runs two campaigns (``seed`` and ``seed + 1``); the first one's
-    oracle digests are the already-computed study baseline (digests are
-    invariant across shards/workers/executor), the second's come from a
-    fault-free single-study run.
-    """
-    import signal
-    import subprocess
-    import sys
-
-    import repro
-    from repro.core.study import Study
-    from repro.orchestrator import CampaignSpec, Orchestrator
-
-    seeds = (cfg.seed, cfg.seed + 1)
-    specs = {
-        seed: CampaignSpec(
-            seed=seed, scale=cfg.scale, honeypot_scale=cfg.honeypot_scale,
-            shards=2, workers=2, retries=cfg.retries, executor="serial",
-        )
-        for seed in seeds
-    }
-    oracle: Dict[str, str] = {}
-    for name, digest in baseline_digests.items():
-        oracle[f"seed {cfg.seed}/{name}"] = digest
-    say(f"orchestrator leg: oracle run for seed {seeds[1]}...\n")
-    oracle_config = specs[seeds[1]].to_config(
-        os.path.join(workdir, "orchestrator-oracle-journal")
-    )
-    for name, digest in artifact_digests(
-        Study(oracle_config, cache=False).run()
-    ).items():
-        oracle[f"seed {seeds[1]}/{name}"] = digest
-
-    state_dir = os.path.join(workdir, "orchestrator")
-    journal_root = os.path.join(state_dir, "store", "journals")
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = pkg_root + os.pathsep + env.get("PYTHONPATH", "")
-    command = [
-        sys.executable, "-m", "repro", "orchestrate",
-        "--state-dir", state_dir,
-        "--seeds", ",".join(str(seed) for seed in seeds),
-        "--scale", str(cfg.scale),
-        "--honeypot-scale", str(cfg.honeypot_scale),
-        "--shards", "2", "--workers", "2",
-        "--retries", str(cfg.retries),
-        "--max-active", "2",
-        "--lease-timeout", str(cfg.lease_timeout),
-        "--restart-budget", str(cfg.restart_budget),
-        "--seed", str(cfg.fault_seed),
-        "--inject-faults", cfg.spec(),
-    ]
-    say("orchestrator leg: launching the child orchestrator...\n")
-    child = subprocess.Popen(
-        command, env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    kills = 0
-    try:
-        # Kill as soon as the first task journal lands: campaigns are
-        # provably mid-flight, so recovery must replay real work.
-        deadline = time.monotonic() + 180.0
-        while time.monotonic() < deadline and child.poll() is None:
-            if any(files for _, _, files in os.walk(journal_root)):
-                break
-            time.sleep(0.05)
-        if child.poll() is None:
-            child.send_signal(signal.SIGKILL)
-            kills = 1
-            say("orchestrator leg: SIGKILLed the child mid-campaign\n")
-        else:  # pragma: no cover - child outran the poll loop
-            say("orchestrator leg: child finished before the kill\n")
-        child.wait()
-    finally:
-        if child.poll() is None:  # pragma: no cover
-            child.kill()
-            child.wait()
-
-    say("orchestrator leg: recovering from the ledger in-process...\n")
-    orchestrator = Orchestrator(
-        state_dir,
-        max_active=2,
-        lease_timeout=cfg.lease_timeout,
-        restart_budget=cfg.restart_budget,
-    )
-    try:
-        with faults.injected(plan):
-            # reuse=True: if the kill landed before a submit was
-            # ledgered, the campaign is (re)submitted; otherwise the
-            # recovered record answers and the ids line up.
-            ids = {
-                seed: orchestrator.submit(specs[seed], reuse=True)
-                for seed in seeds
-            }
-            orchestrator.drain()
-        queue = orchestrator.queue()
-        digests: Dict[str, str] = {}
-        failures: List[str] = []
-        restarts = 0
-        for seed, campaign_id in ids.items():
-            doc = orchestrator.status(campaign_id)
-            restarts += doc["restarts"]
-            if doc["state"] != "done":
-                failures.append(
-                    f"{campaign_id} (seed {seed}) ended "
-                    f"{doc['state']!r}: {doc.get('error')}"
-                )
-                continue
-            for name, digest in doc["digests"].items():
-                digests[f"seed {seed}/{name}"] = digest
-    finally:
-        orchestrator.shutdown()
-    return {
-        "orchestrator_baseline": oracle,
-        "orchestrator_digests": digests,
-        "orchestrator_kills": kills,
-        # Per-campaign restarts already count the ledger-replay requeues
-        # (queue["recovered"]) alongside any lease.expire requeues.
-        "orchestrator_recoveries": restarts,
-        "orchestrator_quarantined": queue["ledger_quarantined"],
-        "orchestrator_failures": failures,
-    }
 
 
 def run_chaos(
@@ -511,12 +317,6 @@ def run_chaos(
                 f"{service.error}"
             ]
 
-        orchestrator_fields: Dict[str, Any] = {}
-        if cfg.orchestrator_leg:
-            orchestrator_fields = _orchestrator_leg(
-                cfg, plan, workdir, baseline_digests, say,
-            )
-
         if getattr(cache, "quarantined", None):
             study.metrics.record_quarantines(cache.quarantined)
         if getattr(resume_cache, "quarantined", None):
@@ -548,7 +348,6 @@ def run_chaos(
             events_evicted=service.bus.events.dropped,
             wall_seconds=time.perf_counter() - started,
             metrics=study.metrics,
-            **orchestrator_fields,
         )
         return report
     finally:

@@ -79,14 +79,6 @@ class StudyConfig:
     #: inherit-sentinel.  All executors produce byte-identical artifacts,
     #: so the knob is excluded from equality/fingerprints.
     executor: str = field(default="auto", compare=False)
-    #: Tenant namespace for quarantined store entries.  Campaigns sharing
-    #: one content-addressed store (the orchestrator's dedup) each set
-    #: this to their campaign id so quarantined files land under
-    #: ``quarantine/<namespace>/`` and the serial-dedup stems of one
-    #: tenant cannot collide with another's.  Excluded from the
-    #: fingerprint: where damage is filed never changes output bytes —
-    #: and including it would defeat cross-tenant cache sharing.
-    quarantine_namespace: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         self.validate()

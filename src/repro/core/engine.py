@@ -318,7 +318,6 @@ class PhaseCache:
         self,
         max_entries: int = 256,
         directory: Optional[Union[str, os.PathLike]] = None,
-        quarantine_namespace: str = "",
     ) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
@@ -326,8 +325,6 @@ class PhaseCache:
         self.directory = (
             os.path.expanduser(os.fspath(directory)) if directory else None
         )
-        #: Tenant namespace for quarantined entries (shared stores only).
-        self.quarantine_namespace = quarantine_namespace
         self.stats = CacheStats()
         #: Disk entries moved aside by :meth:`get`, in detection order.
         self.quarantined: List[QuarantineRecord] = []
@@ -402,7 +399,6 @@ class PhaseCache:
     def _quarantine(self, path: str, key: str, reason: str) -> None:
         record = quarantine_file(
             path, key=key, reason=reason, stage="phase.load",
-            namespace=self.quarantine_namespace,
         )
         with self._lock:
             self.stats.corrupt += 1
@@ -536,9 +532,6 @@ class StudyEngine:
             directory,
             resume=getattr(self.config, "resume", False),
             fingerprint=self.fingerprint,
-            quarantine_namespace=getattr(
-                self.config, "quarantine_namespace", ""
-            ),
         )
 
     def task_deadline(self) -> Optional[TaskDeadline]:

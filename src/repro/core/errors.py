@@ -19,9 +19,7 @@ Code      Meaning
 5         structural invariant violation (``repro validate``,
           ``ValidationError``)
 6         control-service failure (``repro serve``, ``ServeError``)
-7         orchestrator failure (``repro orchestrate``,
-          ``OrchestratorError``: ledger damage, admission refusal,
-          a campaign circuit-broken to ``failed``)
+7         retired; never reused
 ========  =====================================================
 """
 
@@ -41,7 +39,6 @@ class ExitCode(IntEnum):
     TASK_FAILURE = 4
     VALIDATION = 5
     SERVE = 6
-    ORCHESTRATOR = 7
 
     def __str__(self) -> str:  # "2", not "ExitCode.CONFIG", in messages
         return str(self.value)

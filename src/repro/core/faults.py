@@ -35,15 +35,7 @@ Injection sites (the :data:`FAULT_SITES` registry):
 * ``worker.hang``    — *delays* like ``deadline`` but is checked at the
   chunk level inside process-pool workers (default sleep
   :data:`DEFAULT_HANG_DELAY` seconds), driving the pool supervisor's
-  no-progress watchdog in :func:`~repro.core.tasks.run_tasks`;
-* ``ledger.io``      — the orchestrator's write-ahead ledger appends,
-  which retry on a transient verdict (keyed per attempt) and surface a
-  :class:`~repro.net.errors.LedgerError` once the bounded retry loop is
-  exhausted — durability must fail loudly, never drop a record;
-* ``lease.expire``   — the orchestrator's heartbeat: a firing verdict
-  (keyed per campaign *lease incarnation*, so one verdict per lease, not
-  per heartbeat) suppresses renewal and the monitor expires the lease,
-  driving the requeue → resume-from-journals recovery path.
+  no-progress watchdog in :func:`~repro.core.tasks.run_tasks`.
 
 A fault is **transient** (cleared by a supervised retry: the attempt
 number advances the key, so the retry draws a fresh verdict) or **fatal**
@@ -103,7 +95,6 @@ __all__ = [
 FAULT_SITES: Tuple[str, ...] = (
     "task", "cache.io", "store.corrupt", "deadline",
     "fabric.connect", "dataset.load", "worker.crash", "worker.hang",
-    "ledger.io", "lease.expire",
 )
 
 #: Recognized fault kinds.

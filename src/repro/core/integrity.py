@@ -192,7 +192,7 @@ class QuarantineRecord:
 
 
 def quarantine_file(
-    path: str, *, key: str, reason: str, stage: str, namespace: str = ""
+    path: str, *, key: str, reason: str, stage: str
 ) -> Optional[QuarantineRecord]:
     """Move a damaged entry into ``quarantine/`` beside its store.
 
@@ -203,18 +203,8 @@ def quarantine_file(
     ``.reason.json`` sidecar records the :class:`QuarantineRecord`.
     Best-effort: returns ``None`` when the move itself fails (the caller
     still treats the entry as a miss).
-
-    ``namespace`` (a campaign id or config fingerprint) isolates tenants
-    sharing one store: the serial-dedup scheme is *per directory*, so two
-    campaigns quarantining same-named entries into one flat
-    ``quarantine/`` would interleave serials and an operator could no
-    longer tell whose damage is whose.  When set, the file lands in
-    ``quarantine/<namespace>/`` instead; the default keeps the historical
-    flat layout for single-tenant stores.
     """
     directory = os.path.join(os.path.dirname(path), "quarantine")
-    if namespace:
-        directory = os.path.join(directory, namespace)
     stem = os.path.basename(path)
     if stem.endswith(".pkl"):
         stem = stem[: -len(".pkl")]

@@ -370,40 +370,6 @@ class StudyMetrics:
 
     # -- export -----------------------------------------------------------
 
-    def summary(self) -> Dict[str, object]:
-        """Compact operator-facing roll-up of this run.
-
-        The shape the orchestrator's ``GET /campaigns/<id>/status`` and
-        ``GET /queue`` documents embed: scalar totals only — wall clock,
-        cache traffic, journal replay totals, supervisor interventions,
-        stalls, quarantine and bus counts — never the per-task row lists
-        ``to_dict()`` carries, which would bloat a status poll with
-        thousands of timing rows.
-        """
-        return {
-            "wall_seconds": round(self.wall_seconds, 6),
-            "cache_hits": self.cache_hits,
-            "cache_disk_hits": sum(
-                1 for metric in self.phases if metric.disk_hit
-            ),
-            "cache_misses": self.cache_misses,
-            "degraded": len(self.degraded),
-            "journal_hits": sum(j.hits for j in self.journals),
-            "journal_stores": sum(j.stores for j in self.journals),
-            "journal_write_errors": self.journal_write_errors,
-            "quarantined": len(self.quarantined),
-            "stalls": len(self.stalls),
-            "pool_restarts": sum(
-                1 for event in self.supervisor
-                if event.action == "pool-restart"
-            ),
-            "downgrades": sum(
-                1 for event in self.supervisor
-                if event.action == "downgrade"
-            ),
-            "bus": self.bus.to_dict() if self.bus is not None else None,
-        }
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "wall_seconds": round(self.wall_seconds, 6),

@@ -121,7 +121,6 @@ __all__ = [
     "DEFAULT_RESTART_BUDGET",
     "resolve_executor",
     "pool_supervision",
-    "task_checkpoint",
     "paused_gc",
     "read_sealed",
     "write_sealed",
@@ -274,15 +273,11 @@ class TaskJournal:
 
     def __init__(
         self, directory: os.PathLike, *, resume: bool = False,
-        fingerprint: str = "", quarantine_namespace: str = "",
+        fingerprint: str = "",
     ) -> None:
         self.directory = os.path.expanduser(os.fspath(directory))
         self.resume = resume
         self.fingerprint = fingerprint
-        #: Tenant namespace for quarantined entries — campaigns sharing a
-        #: store quarantine into ``quarantine/<namespace>/`` so their
-        #: serial-deduplicated stems cannot collide across tenants.
-        self.quarantine_namespace = quarantine_namespace
         #: Entries served on load / written on store (for tests and logs).
         self.hits = 0
         self.stores = 0
@@ -299,7 +294,6 @@ class TaskJournal:
     def _quarantine(self, path: str, ref: TaskRef, reason: str) -> None:
         record = quarantine_file(
             path, key=ref.key(), reason=reason, stage="journal.load",
-            namespace=self.quarantine_namespace,
         )
         if record is not None:
             with self._lock:
@@ -724,39 +718,6 @@ def pool_supervision(
         _default_hang_timeout, _default_restart_budget = previous
 
 
-# Thread-local checkpoint hook: the orchestrator (or any long-lived
-# driver) installs a callback here around a study run, and every
-# ``run_tasks`` batch started on this thread calls it at task boundaries.
-_checkpoint_local = threading.local()
-
-
-@contextmanager
-def task_checkpoint(callback: Optional[Callable[[], None]]) -> Iterator[None]:
-    """Scope a cooperative task-boundary checkpoint for ``run_tasks``.
-
-    ``callback`` is invoked with no arguments at every task boundary of
-    every batch started inside the ``with`` body on this thread: before
-    each supervised task on the serial rung, and in the parent as each
-    chunk drains on the process rung (workers are
-    sacrificial; control flow stays in the parent).  Returning normally
-    continues the batch — that is the heartbeat path.  Raising stops the
-    batch at the boundary: the exception propagates out of ``run_tasks``
-    after the executor tears down (futures cancelled, pool workers
-    terminated), so a cooperative pause or cancel leaks no workers.
-
-    Raise a ``BaseException`` subclass (not ``Exception``) to interrupt:
-    task supervision deliberately retries/wraps ``Exception`` into
-    :class:`~repro.net.errors.TaskFailure`, and a degrade-mode study
-    would swallow that — control flow must ride above supervision.
-    """
-    previous = getattr(_checkpoint_local, "callback", None)
-    _checkpoint_local.callback = callback
-    try:
-        yield
-    finally:
-        _checkpoint_local.callback = previous
-
-
 def resolve_executor(executor: Optional[str], *, workers: int = 1) -> str:
     """Resolve an executor request to a concrete kind.
 
@@ -901,7 +862,6 @@ def run_tasks(
     restart_budget = max(0, restart_budget)
     if hang_timeout is None:
         hang_timeout = _default_hang_timeout
-    checkpoint = getattr(_checkpoint_local, "callback", None)
 
     results: List[Optional[_T]] = [None] * len(payloads)
     pending: Sequence[int] = range(len(payloads))
@@ -910,7 +870,6 @@ def run_tasks(
             plan, refs, workers, retries, journal, deadline,
             stats, results,
             restart_budget=restart_budget, hang_timeout=hang_timeout,
-            checkpoint=checkpoint,
         )
         if not pending:
             return results  # type: ignore[return-value]
@@ -922,8 +881,6 @@ def run_tasks(
     state = plan.context if plan.setup is None else plan.setup(plan.context)
     with paused_gc():
         for index in pending:
-            if checkpoint is not None:
-                checkpoint()
             results[index] = _run_supervised(
                 functools.partial(plan.run, state, payloads[index]),
                 refs[index], retries, journal, deadline,
@@ -964,7 +921,6 @@ def _run_pool_generation(
     generation: int,
     hang_timeout: Optional[float],
     chunk_counter: int,
-    checkpoint: Optional[Callable[[], None]] = None,
 ) -> Tuple[set, Optional[str], int]:
     """Run one pool incarnation over ``pending``; report what survived.
 
@@ -1046,11 +1002,6 @@ def _run_pool_generation(
             clean_exit = True
             return completed, "worker-crash", chunk_counter
         while not_done and failure is None and error is None:
-            if checkpoint is not None:
-                # Task-boundary hook, called in the parent between chunk
-                # waves: raising lands in the ``finally`` below, which
-                # terminates the workers — no orphaned pool on a pause.
-                checkpoint()
             done, not_done = futures_wait(not_done, timeout=hang_timeout)
             if not done:
                 # No chunk finished inside the watchdog window: a worker
@@ -1097,7 +1048,6 @@ def _run_process_pool(
     *,
     restart_budget: int,
     hang_timeout: Optional[float],
-    checkpoint: Optional[Callable[[], None]] = None,
 ) -> List[int]:
     """The multi-core arm of :func:`run_tasks`, under pool supervision.
 
@@ -1147,7 +1097,7 @@ def _run_process_pool(
         completed, failure, chunk_counter = _run_pool_generation(
             plan, refs, pending, workers, retries, deadline_spec,
             fault_plan, journal, deadline, stats, results, generation,
-            hang_timeout, chunk_counter, checkpoint,
+            hang_timeout, chunk_counter,
         )
         pending = [index for index in pending if index not in completed]
         if failure is None or not pending:

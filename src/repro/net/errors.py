@@ -195,43 +195,6 @@ class ServiceBusyError(ServeError):
         self.retry_after = retry_after
 
 
-class OrchestratorError(ReproError):
-    """The durable campaign orchestrator failed.
-
-    Raised by :mod:`repro.orchestrator` for lifecycle misuse (resuming a
-    campaign that is not paused, submitting to a shut-down scheduler), a
-    campaign circuit-broken to ``failed`` after exhausting its restart
-    budget, and by ``repro orchestrate`` when a run ends with failed
-    campaigns; the CLI maps it to exit code 7.
-    """
-
-
-class LedgerError(OrchestratorError):
-    """The orchestrator's write-ahead ledger could not be written or read.
-
-    Only raised for damage that durability cannot paper over — an append
-    that cannot reach disk after retries, or a ledger whose *body* (not
-    just its torn tail) fails envelope verification.  A torn or corrupt
-    tail record is quarantined and truncated away instead, because that
-    is exactly what a ``kill -9`` mid-append leaves behind.
-    """
-
-
-class OrchestratorBusyError(OrchestratorError):
-    """The orchestrator's admission controller refused a submission.
-
-    Raised by ``Orchestrator.submit`` when ``max_campaigns`` campaigns
-    are already queued or running; the HTTP surface maps it to ``503``
-    with a ``Retry-After`` header of :attr:`retry_after` seconds, like
-    :class:`ServiceBusyError` on the streaming side.
-    """
-
-    def __init__(self, message: str, *, retry_after: float = 30.0) -> None:
-        super().__init__(message)
-        #: Suggested client back-off in seconds (the Retry-After header).
-        self.retry_after = retry_after
-
-
 class CursorLagError(ServeError):
     """A ring-buffer cursor points at evicted items.
 

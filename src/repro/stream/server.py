@@ -22,16 +22,6 @@ applies to the service too) and exposes four routes:
     The service's status document: state, per-plane progress, simulated
     clock, alert/event counters, final snapshot digests once done.
 
-With an :class:`~repro.orchestrator.Orchestrator` attached
-(``orchestrator=``), four more routes expose durable campaigns:
-``POST /campaigns`` submits a :class:`~repro.orchestrator.CampaignSpec`
-(body fields = spec fields, plus ``"reuse": true`` for
-fingerprint-dedup idempotent submission), ``POST
-/campaigns/<id>/pause|resume|cancel`` drive the lifecycle, and ``GET
-/queue`` returns the scheduler's queue document.  ``GET
-/campaigns/<id>/status`` answers for orchestrator campaigns (ids
-``o…``) and streaming campaigns (ids ``c…``) alike.
-
 ``GET /campaigns/<id>/tail``
     Server-sent events (chunked ``text/event-stream``): ``event:``
     lines for recent plane rows, ``alert:`` lines for the incident
@@ -147,7 +137,6 @@ class ControlServer:
         max_campaigns: Optional[int] = None,
         retry_after: float = 30.0,
         write_timeout: Optional[float] = 30.0,
-        orchestrator: Optional[Any] = None,
     ) -> None:
         if max_campaigns is not None and max_campaigns <= 0:
             raise ConfigError(
@@ -159,9 +148,6 @@ class ControlServer:
         self.max_campaigns = max_campaigns
         self.retry_after = retry_after
         self.write_timeout = write_timeout
-        #: Optional :class:`~repro.orchestrator.Orchestrator` behind the
-        #: durable-campaign routes; ``None`` leaves them 404.
-        self.orchestrator = orchestrator
         self.campaigns: Dict[str, CampaignService] = {}
         self._latest: Optional[str] = None
         self._counter = 0
@@ -211,12 +197,6 @@ class ControlServer:
         """
         for campaign in list(self.campaigns.values()):
             campaign.stop()
-        if self.orchestrator is not None:
-            # Cooperative teardown; durable state survives in the ledger
-            # either way, so a restart with the same state dir resumes.
-            self.orchestrator.shutdown(
-                cancel_running=True, timeout=drain_timeout
-            )
         deadline = time.monotonic() + max(0.0, drain_timeout)
         while self.active_tails and time.monotonic() < deadline:
             time.sleep(0.05)
@@ -394,80 +374,13 @@ def _build_handler(server: ControlServer):
                 self._json(200, {
                     "campaign": campaign_id, "state": service.state,
                 })
-            elif path == "/campaigns":
-                self._submit_campaign(body)
             else:
-                parts = [part for part in path.split("/") if part]
-                if (len(parts) == 3 and parts[0] == "campaigns"
-                        and parts[2] in ("pause", "resume", "cancel")):
-                    self._campaign_action(parts[1], parts[2])
-                    return
                 self._error(404, f"unknown route POST {path}")
-
-        def _submit_campaign(self, body: Dict[str, Any]) -> None:
-            """POST /campaigns — admit a durable orchestrator campaign."""
-            from repro.net.errors import (
-                OrchestratorBusyError,
-                OrchestratorError,
-            )
-            from repro.orchestrator import CampaignSpec
-
-            orchestrator = server.orchestrator
-            if orchestrator is None:
-                self._error(404, "no orchestrator attached")
-                return
-            reuse = bool(body.pop("reuse", False))
-            try:
-                spec = CampaignSpec.from_dict(body)
-                campaign_id = orchestrator.submit(spec, reuse=reuse)
-            except (ConfigError, ValueError) as error:
-                self._error(400, str(error))
-                return
-            except OrchestratorBusyError as error:
-                self._json(503, {
-                    "error": str(error),
-                    "retry_after": error.retry_after,
-                }, headers=(
-                    ("Retry-After", str(int(error.retry_after))),
-                ))
-                return
-            except OrchestratorError as error:
-                self._error(500, str(error))
-                return
-            self._json(200, orchestrator.status(campaign_id))
-
-        def _campaign_action(self, campaign_id: str, action: str) -> None:
-            """POST /campaigns/<id>/pause|resume|cancel."""
-            from repro.net.errors import OrchestratorError
-
-            orchestrator = server.orchestrator
-            if orchestrator is None:
-                self._error(404, "no orchestrator attached")
-                return
-            if orchestrator.get(campaign_id) is None:
-                self._error(404, f"no such campaign {campaign_id!r}")
-                return
-            try:
-                document = getattr(orchestrator, action)(campaign_id)
-            except OrchestratorError as error:
-                self._error(409, str(error))
-                return
-            self._json(200, document)
 
         def do_GET(self) -> None:
             parsed = urlparse(self.path)
             parts = [part for part in parsed.path.split("/") if part]
-            if len(parts) == 1 and parts[0] == "queue":
-                if server.orchestrator is None:
-                    self._error(404, "no orchestrator attached")
-                    return
-                self._json(200, server.orchestrator.queue())
-                return
             if len(parts) == 3 and parts[0] == "campaigns":
-                if (parts[2] == "status" and server.orchestrator is not None
-                        and server.orchestrator.get(parts[1]) is not None):
-                    self._json(200, server.orchestrator.status(parts[1]))
-                    return
                 try:
                     _, service = server.get_campaign(parts[1])
                 except KeyError:

@@ -23,7 +23,6 @@ EXPECTED_MEMBERS = {
     "TASK_FAILURE": 4,
     "VALIDATION": 5,
     "SERVE": 6,
-    "ORCHESTRATOR": 7,
 }
 
 

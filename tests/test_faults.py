@@ -174,6 +174,8 @@ class TestFaultPlanParsing:
         "warp:0.5",               # unknown site
         "task:0.5:sometimes",     # unknown kind
         "task:0.2,task:0.3",      # duplicate site
+        "ledger.io:0.5",          # retired site
+        "lease.expire:0.5",       # retired site
     ])
     def test_bad_specs_raise_config_error(self, spec):
         with pytest.raises(ConfigError):

@@ -210,33 +210,6 @@ class TestQuarantineFile:
             "key", "reason", "stage", "source_path", "quarantined_path",
         }
 
-    def test_namespace_isolates_tenants_sharing_a_store(self, tmp_path):
-        """Two campaigns quarantining the same entry name land in their
-        own ``quarantine/<namespace>/`` directories, each with a clean
-        serial sequence — not interleaved in one flat directory."""
-        first = quarantine_file(
-            self._damaged(tmp_path), key="k", reason="r", stage="s",
-            namespace="o1",
-        )
-        second = quarantine_file(
-            self._damaged(tmp_path), key="k", reason="r", stage="s",
-            namespace="o2",
-        )
-        assert os.path.dirname(first.quarantined_path) == str(
-            tmp_path / "quarantine" / "o1"
-        )
-        assert os.path.dirname(second.quarantined_path) == str(
-            tmp_path / "quarantine" / "o2"
-        )
-        # Neither tenant's first quarantine was pushed to a .2 serial
-        # by the other's.
-        for record in (first, second):
-            assert record.quarantined_path.endswith("entry.quarantined")
-            assert os.path.exists(record.quarantined_path)
-            assert os.path.exists(
-                record.quarantined_path + ".reason.json"
-            )
-
     def test_default_namespace_keeps_flat_layout(self, tmp_path):
         record = quarantine_file(
             self._damaged(tmp_path), key="k", reason="r", stage="s",

@@ -10,6 +10,8 @@ import repro.honeypots
 from repro.attacks.actors import ActorRegistry
 from repro.attacks.schedule import AttackScheduler
 from repro.core import columns, metrics, tasks
+from repro.core.config import StudyConfig
+from repro.core.metrics import StudyMetrics
 from repro.honeypots import events
 from repro.honeypots.base import HoneypotDeployment, SessionTranscript
 from repro.honeypots.events import EventStore
@@ -37,8 +39,9 @@ class TestRemovedSurface:
     """Names deleted since 2.0: the serial reference paths (their byte
     oracles live under ``tests/oracles/``), the deprecation shims, the
     second description of a task batch and its metric copies, the
-    write-through row views of the scan and attack stores, and public
-    methods nothing called."""
+    write-through row views of the scan and attack stores, public
+    methods nothing called, and the hooks only the deleted multi-campaign
+    scheduler used."""
 
     @pytest.mark.parametrize("owner, name", [
         pytest.param(AttackScheduler, "run_reference",
@@ -94,6 +97,11 @@ class TestRemovedSurface:
         pytest.param(ScanRatePlan, "end_day", id="ScanRatePlan.end_day"),
         pytest.param(probes, "next_probe",
                      id="repro.scanner.probes.next_probe"),
+        pytest.param(tasks, "task_checkpoint",
+                     id="repro.core.tasks.task_checkpoint"),
+        pytest.param(StudyConfig, "quarantine_namespace",
+                     id="StudyConfig.quarantine_namespace"),
+        pytest.param(StudyMetrics, "summary", id="StudyMetrics.summary"),
     ])
     def test_name_is_gone(self, owner, name):
         assert not hasattr(owner, name)

@@ -136,6 +136,76 @@ class TestControlApi:
         assert excinfo.value.code == 400
 
 
+class TestTailLagRecovery:
+    def test_lagging_cursor_gets_lag_event_then_oldest_onward(self):
+        """A cursor behind the events ring's retention window: exactly
+        one ``lag`` frame, then every retained event once (resume from
+        ``oldest``), then ``end`` — nothing skipped twice or silently."""
+        server = ControlServer(
+            port=0,
+            stream_defaults=StreamConfig(event_capacity=16),
+        ).start()
+        try:
+            _, started = post(server, "/sim/start",
+                              {"seed": 7, "scale": 16384})
+            campaign_id = started["campaign"]
+            status = wait_done(server, campaign_id, timeout=240)
+            assert status["state"] == "done", status
+            assert status["events_streamed"] > 16
+
+            # The supervision roll-up rides along in the status poll.
+            rollup = status["metrics"]
+            assert rollup["supervisor"]["pool_restarts"] == 0
+            assert rollup["quarantined"] == 0
+            assert rollup["bus"]["published"] == status["events_streamed"]
+            assert rollup["bus"]["events_evicted"] > 0  # tiny ring
+
+            # Cursor 1 lags: the ring only retains the last 16 events.
+            with urllib.request.urlopen(
+                url(server, f"/campaigns/{campaign_id}/tail?events=1"),
+                timeout=30,
+            ) as response:
+                body = response.read().decode()
+
+            frames = [
+                frame.split("\ndata: ", 1)
+                for frame in body.split("\n\n")
+                if frame.startswith("event: ")
+            ]
+            lags = [json.loads(data) for kind, data in frames
+                    if kind == "event: lag"]
+            events = [json.loads(data) for kind, data in frames
+                      if kind == "event: event"]
+            ends = [json.loads(data) for kind, data in frames
+                    if kind == "event: end"]
+
+            assert len(ends) == 1
+            ring_total = ends[0]["events_total"]
+            assert ring_total > 16, "ring never overflowed"
+            assert len(lags) == 1
+            lag = lags[0]
+            assert lag["stream"] == "events"
+            # The ring retains its last 16 items; cursor 1 missed
+            # everything before that window.
+            assert lag["oldest"] == ring_total - 16
+            assert lag["dropped"] == lag["oldest"] - 1
+            # Resumed from the oldest retained item: exactly the
+            # retained window, each event once.
+            assert len(events) == ring_total - lag["oldest"]
+
+            # A fresh, in-window cursor sees no lag frame at all.
+            with urllib.request.urlopen(
+                url(server,
+                    f"/campaigns/{campaign_id}/tail?events={ring_total}"),
+                timeout=30,
+            ) as response:
+                clean = response.read().decode()
+            assert "event: lag" not in clean
+            assert "event: event\n" not in clean
+        finally:
+            server.shutdown()
+
+
 class TestServerLifecycle:
     def test_ephemeral_port_bound(self):
         server = ControlServer(port=0)
