@@ -79,7 +79,7 @@ def test_rsdos_detection(benchmark, study):
     capture = study.telescope
     detected = benchmark.pedantic(
         detect_rsdos,
-        args=(list(capture.writer.records()),),
+        args=(list(capture.writer.iter_rows()),),
         kwargs={"packet_scale": capture.config.packet_scale},
         rounds=1, iterations=1,
     )

@@ -74,7 +74,7 @@ def _batch_digests():
             "one_time": one_time,
         }),
         "rsdos": snapshot_digest(detect_rsdos(
-            results.telescope.writer.records())),
+            results.telescope.writer.iter_rows())),
     }
 
 

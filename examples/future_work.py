@@ -99,7 +99,7 @@ def rsdos_metadata(seed: int) -> None:
     )
     capture = telescope.capture_month()
     detected = detect_rsdos(
-        capture.writer.records(), packet_scale=capture.config.packet_scale
+        capture.writer.iter_rows(), packet_scale=capture.config.packet_scale
     )
     print(f"  {len(capture.rsdos_truth)} spoofed attacks in the week, "
           f"{len(detected)} detected from backscatter")

@@ -79,10 +79,10 @@ def main() -> None:
               f"{len(suspicious)} suspicious sources flagged")
 
     masscan = sum(
-        record.packet_count for record in capture.writer.records()
+        record.packet_count for record in capture.writer.iter_rows()
         if record.is_masscan
     )
-    total = sum(record.packet_count for record in capture.writer.records())
+    total = sum(record.packet_count for record in capture.writer.iter_rows())
     print(f"\nMasscan-fingerprinted share of packets: "
           f"{100 * masscan / total:.1f}%")
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.columns import ColumnStore
+from repro.core.columns import ColumnTable
 from repro.core.operator import OperatorBase
 from repro.core.taxonomy import AttackType
 from repro.intel.exonerator import ExoneraTorDB
@@ -39,7 +39,7 @@ _DOS_TYPES = (AttackType.DOS_FLOOD, AttackType.REFLECTION)
 
 
 def duplicate_dns_sources(
-    log: ColumnStore,
+    log: ColumnTable,
     rdns: ReverseDns,
     protocol: Optional[ProtocolId] = None,
 ) -> List[Set[int]]:
@@ -172,7 +172,7 @@ class AttackOriginsOperator(OperatorBase):
 
 
 def dos_origin_countries(
-    log: ColumnStore,
+    log: ColumnTable,
     geo: GeoRegistry,
     protocol: Optional[ProtocolId] = None,
     top_k: int = 5,
@@ -185,7 +185,7 @@ def dos_origin_countries(
 
 
 def analyze_tor_sources(
-    log: ColumnStore,
+    log: ColumnTable,
     exonerator: ExoneraTorDB,
     *,
     protocol: ProtocolId = ProtocolId.HTTP,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.misconfig import classify_record
-from repro.core.columns import ColumnStore
+from repro.core.columns import ColumnTable
 from repro.core.operator import OperatorBase
 from repro.core.taxonomy import Misconfig
 from repro.net.geo import GeoRegistry
@@ -90,7 +90,7 @@ class CountryOperator(OperatorBase):
 
 
 def country_distribution_of(
-    database: ColumnStore, geo: GeoRegistry
+    database: ColumnTable, geo: GeoRegistry
 ) -> CountryReport:
     """Table 10 straight from a scan database
     (:class:`CountryOperator` fed once)."""

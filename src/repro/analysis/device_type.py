@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.operator import OperatorBase
 from repro.internet.devices import DEVICE_PROFILES, DeviceProfile
 from repro.protocols.base import ProtocolId
-from repro.core.columns import ColumnStore
+from repro.core.columns import ColumnTable
 from repro.scanner.records import ScanRecord
 from repro.scanner.ztag import TagEngine, TagSignature
 
@@ -146,7 +146,7 @@ class DeviceTypeOperator(OperatorBase):
 
 
 def identify_device_types(
-    database: ColumnStore,
+    database: ColumnTable,
     *,
     engine: Optional[TagEngine] = None,
 ) -> DeviceTypeReport:

@@ -39,7 +39,7 @@ from repro.protocols.base import ProtocolId
 from repro.protocols.mqtt import ConnectReturnCode, decode_connack
 from repro.protocols.telnet import strip_iac
 from repro.protocols.xmpp import offers_starttls, parse_mechanisms
-from repro.core.columns import ColumnStore
+from repro.core.columns import ColumnTable
 from repro.scanner.records import ScanRecord
 
 __all__ = [
@@ -259,7 +259,7 @@ class MisconfigOperator(OperatorBase):
 
 
 def classify_database(
-    database: ColumnStore,
+    database: ColumnTable,
     *,
     exclude_addresses: Optional[Set[int]] = None,
 ) -> MisconfigReport:

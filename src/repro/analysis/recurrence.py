@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.core.columns import ColumnStore
+from repro.core.columns import ColumnTable
 from repro.core.operator import OperatorBase
 
 __all__ = ["RecurrencePattern", "RecurrenceClassifier", "RecurrenceOperator"]
@@ -65,12 +65,12 @@ class RecurrenceClassifier:
         self.min_span_days = min_span_days
         self.min_regularity = min_regularity
 
-    def patterns(self, log: ColumnStore) -> Dict[int, RecurrencePattern]:
+    def patterns(self, log: ColumnTable) -> Dict[int, RecurrencePattern]:
         """Aggregate visit patterns per source
         (:class:`RecurrenceOperator` fed once)."""
         return self._fold(log).patterns()
 
-    def _fold(self, log: ColumnStore) -> "RecurrenceOperator":
+    def _fold(self, log: ColumnTable) -> "RecurrenceOperator":
         operator = RecurrenceOperator(self)
         operator.feed(log)
         return operator
@@ -83,12 +83,12 @@ class RecurrenceClassifier:
             and pattern.regularity >= self.min_regularity
         )
 
-    def classify(self, log: ColumnStore) -> Tuple[Set[int], Set[int]]:
+    def classify(self, log: ColumnTable) -> Tuple[Set[int], Set[int]]:
         """Split the log's sources into (recurring, one-time)."""
         return self._fold(log).classify()
 
     def score_against(
-        self, log: ColumnStore, truth_scanning: Set[int]
+        self, log: ColumnTable, truth_scanning: Set[int]
     ) -> Dict[str, float]:
         """Precision/recall of 'recurring' as a scanning-service detector."""
         recurring, _ = self.classify(log)

@@ -1,29 +1,28 @@
-"""Column primitives and the unified ColumnStore API.
+"""Column primitives and the table the three plane stores are written on.
 
 The three measurement-plane stores — the scan plane's
 :class:`~repro.scanner.records.ScanDatabase`, the attack plane's
 :class:`~repro.honeypots.events.EventStore` and the telescope plane's
-:class:`~repro.telescope.flowtuple.FlowTupleWriter` — all keep their data
-as parallel columns.  This module is the layer underneath them:
+:class:`~repro.telescope.flowtuple.FlowTupleWriter` — are
+:class:`ColumnTable` subclasses.  This module holds:
 
 * **column primitives** (:func:`make_numeric_column` /
   :func:`make_object_column`): numerics live in growable typed NumPy
   buffers (:class:`NumpyColumn`) whose ``view()`` exposes a contiguous
   ``ndarray`` for masked filters and grouped counts; labels, enums and
   byte payloads in plain lists;
-* :class:`ColumnTable`, the append-only table the scan and attack stores
-  are written on: a subclass declares its ``NamedTuple`` row type, which
-  fields are numeric and its canonical merge key, and inherits ingestion,
-  observers, row access, filters, grouped counts, canonical ordering and
-  JSONL export;
-* the :class:`ColumnStore` protocol the analysis consumers type against
-  (``where`` / ``count_by`` / ``iter_rows`` / ``sorted_canonical`` /
-  ``append_batch``), so they depend on the query surface rather than on a
-  concrete store;
+* :class:`ColumnTable`, the append-only table: a subclass declares its
+  ``NamedTuple`` row type, which fields are numeric (and of which kind)
+  and its canonical merge key, and inherits ingestion (row-wise,
+  table-wise and the columnar :meth:`ColumnTable.from_columns`
+  constructor), observers, row access, filters, grouped counts,
+  canonical ordering and JSONL export.  The analysis consumers type
+  against it.
 
 **Determinism contract.**  The vector paths produce the bytes a
 row-by-row recomputation would: numeric columns hand back native Python
-scalars (``NumpyColumn.__getitem__`` unboxes via ``.item()``),
+scalars (``NumpyColumn.__getitem__`` unboxes via ``.item()``, and the
+compact ``i32``/``bool`` kinds unbox to ``int``/``bool`` too),
 ``lexsort`` is stable like Python's ``sorted``, grouped counts keep
 first-occurrence order, and the batch PRNG draws
 (:meth:`~repro.net.prng.RandomStream.uniform_array`) are bit-equal to
@@ -42,16 +41,14 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
-    Protocol,
     Set,
-    runtime_checkable,
 )
 
 import numpy as np
 
 __all__ = [
-    "ColumnStore",
     "ColumnTable",
     "NumpyColumn",
     "make_numeric_column",
@@ -61,7 +58,17 @@ __all__ = [
 #: Column kind → NumPy dtype.  Unsigned kinds map to ``int64``: every
 #: stored value (IPv4 address, port, byte count) fits comfortably, and
 #: signed arithmetic avoids surprise wrap-around in vector expressions.
-_NP_DTYPES = {"u64": "int64", "u32": "int64", "i64": "int64", "f64": "float64"}
+#: The compact kinds serve high-volume tables: ``i32`` for small fields
+#: (ports, TTLs, flags, lengths) and ``bool`` for flags, both unboxing to
+#: the same native ``int``/``bool`` the wide kinds would.
+_NP_DTYPES = {
+    "u64": "int64", "u32": "int64", "i64": "int64", "f64": "float64",
+    "i32": "int32", "bool": "bool",
+}
+
+#: Rows :meth:`ColumnTable.iter_rows` materializes per slice, so walking a
+#: table never unboxes a whole column at once.
+_ROW_SLICE = 4096
 
 
 class NumpyColumn:
@@ -88,10 +95,12 @@ class NumpyColumn:
 
     # -- growth ----------------------------------------------------------
 
-    def _reserve(self, needed: int) -> None:
-        capacity = len(self._data)
-        if needed <= capacity:
+    def _reserve(self, needed: int, *, exact: bool = False) -> None:
+        """Grow the buffer to hold ``needed`` values: by doubling for
+        appends, or to exactly ``needed`` for a known volume."""
+        if needed <= len(self._data):
             return
+        capacity = needed if exact else max(16, len(self._data))
         while capacity < needed:
             capacity *= 2
         grown = np.empty(capacity, dtype=self._data.dtype)
@@ -119,12 +128,22 @@ class NumpyColumn:
         """The live ``ndarray`` prefix (no copy) for vector operations."""
         return self._data[: self._n]
 
+    @classmethod
+    def adopt(cls, array: Any) -> "NumpyColumn":
+        """A full column over ``array`` itself (no copy)."""
+        column = cls.__new__(cls)
+        column._data = array
+        column._n = len(array)
+        return column
+
     def take(self, order: Any) -> "NumpyColumn":
         """A new column holding ``self[i] for i in order`` (fancy index)."""
-        picked = NumpyColumn.__new__(NumpyColumn)
-        picked._data = self._data[: self._n][order]
-        picked._n = len(picked._data)
-        return picked
+        return NumpyColumn.adopt(self.view()[order])
+
+    def __reduce__(self) -> tuple:
+        # Pickle the live prefix only: the growth buffer's slack is
+        # uninitialised memory, and the copy restores at its exact size.
+        return NumpyColumn.adopt, (self.view(),)
 
     def tolist(self) -> list:
         return self._data[: self._n].tolist()
@@ -157,7 +176,7 @@ class NumpyColumn:
 def make_numeric_column(
     kind: str, values: Optional[Iterable[Any]] = None
 ) -> NumpyColumn:
-    """A numeric column of ``kind`` (``u64``/``u32``/``i64``/``f64``)."""
+    """A numeric column of ``kind`` (a key of ``_NP_DTYPES``)."""
     return NumpyColumn(_NP_DTYPES[kind], values)
 
 
@@ -196,8 +215,9 @@ class ColumnTable:
     * ``ROW`` — the plane's ``NamedTuple`` record type; every row the
       table yields is an instance of it, and ``add`` / ``extend`` /
       ``append_batch`` take tuples in its field order;
-    * ``NUMERIC`` — numeric field → kind (``u64``/``u32``/``i64``/``f64``);
-      those fields get a :class:`NumpyColumn`, every other field a list;
+    * ``NUMERIC`` — numeric field → kind (``u64``/``u32``/``i64``/``f64``,
+      or the compact ``i32``/``bool``); those fields get a
+      :class:`NumpyColumn`, every other field a list;
     * ``canonical_key(row)`` — a static method giving the plane's merge
       order, shared by the plane's merge sort and :meth:`sorted_canonical`.
     """
@@ -252,6 +272,14 @@ class ColumnTable:
         for column, values in zip(self._columns.values(), zip(*records)):
             column.extend(values)
 
+    def reserve(self, rows: int) -> None:
+        """Size the numeric columns for exactly ``rows`` more rows: a known
+        volume of appends then costs one buffer per column instead of a
+        doubling series whose discarded buffers fragment the heap."""
+        for column in self._columns.values():
+            if isinstance(column, NumpyColumn):
+                column._reserve(len(column) + rows, exact=True)
+
     def _extend_table(self, table: "ColumnTable") -> None:
         """Append every row of ``table`` (same ``ROW``) column by column,
         without building row tuples."""
@@ -260,14 +288,42 @@ class ColumnTable:
                 column.view() if isinstance(column, NumpyColumn) else column
             )
 
-    def append_batch(self, rows: Iterable[tuple]) -> int:
-        """:meth:`extend`, counted in ``batch_appends`` and announced to
-        the observers; returns the row count."""
-        if not isinstance(rows, list):
-            rows = list(rows)
-        self.extend(rows)
+    @classmethod
+    def from_columns(cls, columns: Mapping[str, Any]) -> "ColumnTable":
+        """A table built from one whole column per field of ``ROW``.
+
+        Numeric values (arrays or sequences) are cast to their kind's
+        dtype once and adopted without a growth buffer; the others become
+        lists.  Every column must have the same length.
+        """
+        if set(columns) != set(cls.ROW._fields):
+            raise ValueError(
+                f"from_columns needs exactly the fields {cls.ROW._fields}"
+            )
+        table = cls()
+        for name, values in columns.items():
+            table._columns[name] = (
+                NumpyColumn.adopt(np.asarray(
+                    values, dtype=_NP_DTYPES[cls.NUMERIC[name]]
+                ))
+                if name in cls.NUMERIC else list(values)
+            )
+        if len({len(column) for column in table._columns.values()}) > 1:
+            raise ValueError("from_columns needs columns of one length")
+        return table
+
+    def append_batch(self, rows: Any) -> int:
+        """Append a batch — row tuples, or a table of the same ``ROW``
+        (:meth:`_extend_table`) — counted in ``batch_appends`` and
+        announced to the observers; returns the row count."""
+        if isinstance(rows, ColumnTable):
+            self._extend_table(rows)
+        else:
+            if not isinstance(rows, list):
+                rows = list(rows)
+            self.extend(rows)
         self.batch_appends += 1
-        if self._observers and rows:
+        if self._observers and len(rows):
             emitted = list(self._take(range(len(self) - len(rows), len(self))))
             for callback in self._observers:
                 callback(emitted)
@@ -287,11 +343,18 @@ class ColumnTable:
         )
 
     def iter_rows(self) -> Iterator[Any]:
-        """The rows in insertion order."""
-        return map(self.ROW._make, zip(*(
-            column.tolist() if isinstance(column, NumpyColumn) else column
-            for column in self._columns.values()
-        )))
+        """The rows in insertion order, unboxed :data:`_ROW_SLICE` rows at
+        a time (a walk over a large table never holds a whole column as
+        Python objects)."""
+        make = self.ROW._make
+        columns = list(self._columns.values())
+        for start in range(0, len(self), _ROW_SLICE):
+            stop = start + _ROW_SLICE
+            yield from map(make, zip(*(
+                column.view()[start:stop].tolist()
+                if isinstance(column, NumpyColumn) else column[start:stop]
+                for column in columns
+            )))
 
     def __iter__(self) -> Iterator[Any]:
         return self.iter_rows()
@@ -365,10 +428,11 @@ class ColumnTable:
         """New table holding the rows at ``positions``, in that order."""
         result = type(self)()
         order = np.asarray(positions, dtype=np.intp)
+        indexes = order.tolist()
         for name, column in self._columns.items():
             result._columns[name] = (
                 column.take(order) if isinstance(column, NumpyColumn)
-                else [column[i] for i in positions]
+                else [column[i] for i in indexes]
             )
         return result
 
@@ -382,34 +446,3 @@ class ColumnTable:
     def to_jsonl(self) -> str:
         """Serialize all rows as JSONL."""
         return "\n".join(row.to_json() for row in self.iter_rows())
-
-
-@runtime_checkable
-class ColumnStore(Protocol):
-    """The unified query surface of the three measurement-plane stores.
-
-    Analysis consumers (misconfig, country, device type, attack origins,
-    recurrence, RSDoS) accept any store satisfying this protocol instead of
-    importing a concrete store class.  ``where`` narrows to a new store of
-    the same type, ``count_by`` groups with optional distinct-value
-    counting, ``iter_rows`` yields rows in insertion order,
-    ``sorted_canonical`` re-orders into the plane's canonical merge order
-    and ``append_batch`` ingests many rows in one columnar pass.
-    """
-
-    def __len__(self) -> int: ...
-
-    def append_batch(self, rows: Iterable[Any]) -> int: ...
-
-    def where(self, **filters: Any) -> "ColumnStore": ...
-
-    def count_by(
-        self, column: str, *, unique: Optional[str] = None
-    ) -> Dict[Any, int]: ...
-
-    def iter_rows(self) -> Iterator[Any]: ...
-
-    def sorted_canonical(self) -> "ColumnStore": ...
-
-    def column(self, name: str) -> Any: ...
-

@@ -90,7 +90,10 @@ __all__ = [
 #: version-3 entry holds the old per-field column attributes.
 #: Version 5: XMPP stream ids are numbered per peer, so a serial run's
 #: ``shodan_db`` no longer carries ids shifted by our own scan's sessions.
-ENGINE_SCHEMA_VERSION = 5
+#: Version 6: the telescope's ``FlowTupleWriter`` is a ``ColumnTable``; a
+#: version-5 entry unpickles into a writer with per-day chunk lists and no
+#: columns, which would load and only fail when queried.
+ENGINE_SCHEMA_VERSION = 6
 
 
 # ---------------------------------------------------------------------------

@@ -265,9 +265,8 @@ class StudyMetrics:
     def record_store(self, plane: str, store: object) -> None:
         """Fold one plane store's batch accounting into the run.
 
-        Works on anything shaped like a
-        :class:`~repro.core.columns.ColumnStore` with the
-        ``batch_appends`` attribute the three plane stores carry.
+        Works on any :class:`~repro.core.columns.ColumnTable` (the three
+        plane stores count their ``batch_appends``).
         """
         self.stores.append(StoreMetric(
             plane=plane,

@@ -132,7 +132,9 @@ _T = TypeVar("_T")
 #: Journal entry layout version; bumped entries are treated as misses.
 #: Version 2: raw pickle payload sealed in a checksummed
 #: :mod:`repro.core.integrity` envelope (schema/kind/key/fingerprint).
-JOURNAL_SCHEMA_VERSION = 2
+#: Version 3: a telescope task's result is a ``FlowTupleWriter`` table; a
+#: version-2 entry holds the deleted ``FlowBlock`` or a record list.
+JOURNAL_SCHEMA_VERSION = 3
 
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -155,10 +157,12 @@ def read_sealed(
     """Load one envelope-sealed pickle: ``(True, obj)`` or ``(False, None)``.
 
     The shared read half of the task journal and the phase cache's disk
-    layer.  An absent file or a ``cache.io`` fault at ``stage`` is a plain
-    miss; a damaged or stale envelope, or a payload that will not
-    unpickle, is a miss too, after ``quarantine(reason)`` moves the file
-    aside with the :class:`~repro.net.errors.EnvelopeError` reason (or
+    layer.  An absent file, a ``cache.io`` fault at ``stage`` or an entry
+    of an older layout (``stale-schema``: not damage, and the re-run
+    stores over it) is a plain miss; a damaged or foreign envelope, or a
+    payload that will not unpickle, is a miss too, after
+    ``quarantine(reason)`` moves the file aside with the
+    :class:`~repro.net.errors.EnvelopeError` reason (or
     ``"unpicklable"``).
     """
     try:
@@ -173,7 +177,8 @@ def read_sealed(
             blob, schema=schema, kind=kind, key=key, fingerprint=fingerprint,
         )
     except EnvelopeError as error:
-        quarantine(error.reason)
+        if error.reason != "stale-schema":
+            quarantine(error.reason)
         return False, None
     try:
         return True, pickle.loads(payload)
@@ -256,12 +261,13 @@ class TaskJournal:
     is counted in :attr:`write_errors` and surfaced via ``StudyMetrics``.
     Entries are sealed in a checksummed :mod:`repro.core.integrity`
     envelope carrying the schema version, the task key and the writing
-    config's ``fingerprint``, so *any* damaged or stale file — bit flip,
-    truncation, older code, foreign config, colliding name — is detected
-    on read, moved to ``quarantine/`` with a reasoned
+    config's ``fingerprint``, so *any* damaged or foreign file — bit
+    flip, truncation, foreign config, colliding name — is detected on
+    read, moved to ``quarantine/`` with a reasoned
     :class:`~repro.core.integrity.QuarantineRecord` (collected in
     :attr:`quarantined`), and treated as a miss: the task transparently
-    recomputes and re-stores.
+    recomputes and re-stores.  An entry of an older schema is a plain
+    miss, left for the re-store to replace.
 
     ``resume=False`` (the default) only *writes*: the journal fills so a
     crash can be resumed later, but existing entries are ignored, keeping

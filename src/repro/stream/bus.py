@@ -19,10 +19,10 @@ readable, and the rows are immutable ``NamedTuple`` records, so a
 payload built on read equals one built on publish.
 
 ``EventBus.tap(store, plane)`` subscribes the bus to a live plane store's
-batch-emission hook (``EventStore.subscribe`` /
-``ScanDatabase.subscribe`` / ``FlowTupleWriter.subscribe``), so rows
-merged through ``append_batch``/``extend_day`` stream straight onto the
-bus as they land.
+batch-emission hook (:meth:`~repro.core.columns.ColumnTable.subscribe`,
+shared by the three plane stores), so rows merged through
+``append_batch`` (the telescope's ``extend_day`` included) stream
+straight onto the bus as they land.
 
 Overload safety
 ---------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.columns import ColumnStore
 from repro.core.operator import OperatorBase
 from repro.net.ipv4 import CidrBlock, int_to_ip
 from repro.net.packet import TcpFlags, TransportProtocol
@@ -91,13 +90,26 @@ class BackscatterGenerator:
         self.packet_scale = packet_scale
         self._stream = RandomStream(seed, "telescope.backscatter")
 
+    def _landed(self, attack: SpoofedDosAttack) -> int:
+        """Backscatter packets reaching the dark prefix (at least one)."""
+        return max(1, int(
+            attack.total_packets * self.telescope_fraction / self.packet_scale
+        ))
+
+    def flow_count(self, attack: SpoofedDosAttack) -> int:
+        """Flows :meth:`emit` writes for ``attack``: its backscatter spread
+        over up to a few hundred distinct dark destinations."""
+        landed = self._landed(attack)
+        return min(landed, max(8, landed // 4))
+
     def emit(
         self,
         attack: SpoofedDosAttack,
         writer,
         stream: Optional[RandomStream] = None,
     ) -> int:
-        """Write the attack's backscatter records; returns packets emitted.
+        """Append the attack's backscatter records to ``writer`` (one
+        columnar ``extend``); returns packets emitted.
 
         The victim answers spoofed sources uniformly at random; the dark /8
         receives ``telescope_fraction`` of them, spread over distinct dark
@@ -109,20 +121,14 @@ class BackscatterGenerator:
         global emission order.
         """
         stream = stream if stream is not None else self._stream
-        landed = int(
-            attack.total_packets * self.telescope_fraction / self.packet_scale
-        )
-        if landed <= 0:
-            landed = 1
-        # Spread over up to a few hundred distinct dark destinations.
-        n_targets = min(landed, max(8, landed // 4))
-        per_target = max(1, landed // n_targets)
-        emitted = 0
+        n_targets = self.flow_count(attack)
+        per_target = max(1, self._landed(attack) // n_targets)
+        records = []
         for _ in range(n_targets):
             dark_destination = stream.randint(
                 self.dark.first, self.dark.last
             )
-            writer.add(FlowTupleRecord(
+            records.append(FlowTupleRecord(
                 time=attack.day * 86_400 + stream.randint(0, 86_399),
                 src_ip=attack.victim,
                 dst_ip=dark_destination,
@@ -137,8 +143,8 @@ class BackscatterGenerator:
                 country="",
                 asn=0,
             ))
-            emitted += per_target
-        return emitted
+        writer.extend(records)
+        return per_target * n_targets
 
 
 class RsdosOperator(OperatorBase):
@@ -217,10 +223,8 @@ def detect_rsdos(
 ) -> List[RsdosAttack]:
     """Moore-style backscatter detection over a record stream
     (:class:`RsdosOperator` fed once).  Accepts any record iterable,
-    including a :class:`~repro.core.columns.ColumnStore` (the
-    telescope's flow store)."""
-    if isinstance(records, ColumnStore):
-        records = records.iter_rows()
+    the telescope's :class:`~repro.telescope.flowtuple.FlowTupleWriter`
+    included."""
     operator = RsdosOperator(
         min_dark_targets=min_dark_targets,
         telescope_fraction=telescope_fraction,

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -36,6 +38,8 @@ from repro.core.tasks import (
     TaskPlan,
     TaskRef,
     TaskTiming,
+    paused_gc,
+    resolve_executor,
     run_tasks,
 )
 from repro.core.taxonomy import TrafficClass
@@ -47,7 +51,7 @@ from repro.net.ipv4 import AddressAllocator, CidrBlock
 from repro.net.packet import TransportProtocol
 from repro.net.prng import RandomStream
 from repro.protocols.base import DEFAULT_PORTS, ProtocolId, TransportKind, transport_of
-from repro.telescope.flowtuple import FlowBlock, FlowTupleRecord, FlowTupleWriter
+from repro.telescope.flowtuple import FlowTupleWriter
 from repro.telescope.rsdos import BackscatterGenerator, SpoofedDosAttack
 
 __all__ = [
@@ -230,9 +234,10 @@ class NetworkTelescope:
         Runs as plan / execute / merge: source population, activity plans
         and RSDoS attack specs are drawn serially; record emission shards
         into per-(protocol, day) tasks on ``config.workers`` processes, each
-        drawing from ``stream.derive(protocol, day)``; the merge files task
-        outputs in canonical (protocol order, day) order — byte-identical
-        for every worker count.
+        drawing from ``stream.derive(protocol, day)`` and returning a small
+        :class:`FlowTupleWriter`; the merge appends the task writers
+        day-major (within a day, protocol order, then RSDoS backscatter)
+        — byte-identical for every worker count.
 
         Tasks run supervised: failures surface as
         :class:`~repro.net.errors.TaskFailure` naming the (protocol, day)
@@ -257,49 +262,71 @@ class NetworkTelescope:
             self._plan_emission(protocol, all_sources, scanning_set, stream, day_plans)
         rsdos_by_day = self._plan_rsdos()
 
-        tasks: List[Tuple[object, int]] = [
-            (protocol, day)
-            for protocol in PAPER_TELESCOPE
+        # One (unit, day, entries) payload per task, day-major, so the
+        # merged writer's insertion order is its per-day file order.  The
+        # emission tasks need only config-derived state (streams are
+        # re-derived from the seed), so each plan ships the config as the
+        # context.
+        payloads = [
+            (unit, day, entries)
             for day in range(self.config.days)
-            if day_plans.get((protocol, day))
+            for unit, entries in (
+                *((protocol, day_plans.get((protocol, day)))
+                  for protocol in PAPER_TELESCOPE),
+                ("rsdos", rsdos_by_day.get(day)),
+            )
+            if entries
         ]
-        tasks.extend(("rsdos", day) for day in sorted(rsdos_by_day))
-        refs = [
-            TaskRef("telescope", str(unit), day) for unit, day in tasks
+        # A pool runs the month as one batch.  The serial rung runs it a
+        # day at a time, so the merge holds one day's task tables besides
+        # the capture's, not the month's.
+        pooled = self.config.workers > 1 and resolve_executor(
+            self.config.executor, workers=self.config.workers
+        ) == "process"
+        batches = [payloads] if pooled else [
+            list(batch) for _, batch in groupby(payloads, key=itemgetter(1))
         ]
-        # The emission tasks need only config-derived state (streams are
-        # re-derived from the seed), so the plan ships the config as the
-        # context and plain (unit, day, entries) payloads per task.
-        plan = TaskPlan(
-            run=_telescope_worker_run,
-            payloads=[
-                (
-                    unit,
-                    day,
-                    rsdos_by_day[day] if unit == "rsdos"
-                    else day_plans[(unit, day)],
-                )
-                for unit, day in tasks
-            ],
-            context=self.config,
-            setup=_telescope_worker_setup,
+        # Every task's row count is known from its payload: sizing the
+        # columns once leaves no discarded growth buffers behind.
+        backscatter = BackscatterGenerator(
+            self.config.dark_prefix, self.config.seed,
+            packet_scale=self.config.packet_scale,
         )
-        outcomes = run_tasks(
-            plan, self.config.workers,
-            refs=refs, retries=self.config.retries, journal=journal,
-            deadline=deadline,
-            executor=self.config.executor,
-            stats=self.executor_stats,
-        )
-
-        self.task_timings = [timing for _, _, timing in outcomes]
+        writer.reserve(sum(
+            sum(map(backscatter.flow_count, entries)) if unit == "rsdos"
+            else len(entries)
+            for unit, _, entries in payloads
+        ))
+        self.task_timings = []
         packets_by_protocol: Dict[ProtocolId, int] = {
             protocol: 0 for protocol in PAPER_TELESCOPE
         }
-        for (unit, day), (records, packets, _) in zip(tasks, outcomes):
-            writer.extend_day(day, records)
-            if unit != "rsdos":
-                packets_by_protocol[unit] += packets
+        # The collector stays paused between the day batches too, as it
+        # is within one (see ``paused_gc``).
+        with paused_gc():
+            for batch in batches:
+                outcomes = run_tasks(
+                    TaskPlan(
+                        run=_telescope_worker_run, payloads=batch,
+                        context=self.config, setup=_telescope_worker_setup,
+                    ),
+                    self.config.workers,
+                    refs=[
+                        TaskRef("telescope", str(unit), day)
+                        for unit, day, _ in batch
+                    ],
+                    retries=self.config.retries, journal=journal,
+                    deadline=deadline,
+                    executor=self.config.executor,
+                    stats=self.executor_stats,
+                )
+                for (unit, day, _), (part, packets, timing) in zip(
+                    batch, outcomes
+                ):
+                    writer.extend_day(day, part)
+                    self.task_timings.append(timing)
+                    if unit != "rsdos":
+                        packets_by_protocol[unit] += packets
 
         rsdos_truth = [
             attack
@@ -459,7 +486,7 @@ class NetworkTelescope:
 
     def _emit_day(
         self, protocol: ProtocolId, day: int, entries: List[tuple]
-    ) -> Tuple[FlowBlock, int, TaskTiming]:
+    ) -> Tuple[FlowTupleWriter, int, TaskTiming]:
         """Emit one (protocol, day) batch from its derived stream.
 
         One :meth:`~repro.net.prng.RandomStream.uniform_array` call draws
@@ -467,8 +494,8 @@ class NetworkTelescope:
         bit-identical to ``6 * n`` sequential ``stream.random()`` calls),
         and the field arithmetic runs as whole-column expressions whose
         truncations match ``int()`` (every operand is non-negative).  The
-        output is a columnar :class:`FlowBlock`, materialized into
-        :class:`FlowTupleRecord` tuples only when a consumer iterates.
+        output is a writer built from those whole columns
+        (:meth:`~repro.core.columns.ColumnTable.from_columns`).
         """
         start = time.perf_counter()
         stream = self._stream.derive("emit", str(protocol), day)
@@ -480,35 +507,30 @@ class NetworkTelescope:
         dark_first = self._dark.first
         dark_span = self._dark.last - dark_first + 1
         day_base = day * 86_400
-        sources = np.fromiter(
-            (entry[0] for entry in entries), dtype=np.int64, count=n
-        )
-        per_day = np.fromiter(
-            (entry[1] for entry in entries), dtype=np.int64, count=n
-        )
-        block = FlowBlock(
-            n,
+        sources, per_day, countries, asns = zip(*entries)
+        per_day = np.array(per_day, dtype=np.int64)
+        part = FlowTupleWriter.from_columns(dict(
             time=day_base + (draws[:, 0] * 86_400).astype(np.int64),
             src_ip=sources,
             dst_ip=dark_first + (draws[:, 1] * dark_span).astype(np.int64),
-            src_port=1024 + (draws[:, 2] * 64_512).astype(np.int64),
-            dst_port=port,
-            protocol=transport,
-            ttl=32 + (draws[:, 3] * 224).astype(np.int64),
-            tcp_flags=0x02 if is_tcp else 0,
-            ip_len=44 if is_tcp else 60,
+            src_port=1024 + (draws[:, 2] * 64_512).astype(np.int32),
+            dst_port=np.full(n, port, dtype=np.int32),
+            protocol=[transport] * n,
+            ttl=32 + (draws[:, 3] * 224).astype(np.int32),
+            tcp_flags=np.full(n, 0x02 if is_tcp else 0, dtype=np.int32),
+            ip_len=np.full(n, 44 if is_tcp else 60, dtype=np.int32),
             packet_count=per_day,
             is_spoofed=draws[:, 4] < self.config.spoofed_fraction,
             is_masscan=draws[:, 5] < self.config.masscan_fraction,
-            country=[entry[2] for entry in entries],
-            asn=[entry[3] for entry in entries],
-        )
+            country=countries,
+            asn=asns,
+        ))
         packets = int(per_day.sum())
         timing = TaskTiming(
             plane="telescope", unit=str(protocol), day=day,
             seconds=time.perf_counter() - start, events=n,
         )
-        return block, packets, timing
+        return part, packets, timing
 
     def _plan_rsdos(self) -> Dict[int, List[SpoofedDosAttack]]:
         """Draw the month's spoofed-DoS attack specs, grouped by day."""
@@ -528,7 +550,7 @@ class NetworkTelescope:
 
     def _emit_rsdos_day(
         self, day: int, attacks: List[SpoofedDosAttack]
-    ) -> Tuple[List[FlowTupleRecord], int, TaskTiming]:
+    ) -> Tuple[FlowTupleWriter, int, TaskTiming]:
         """Emit one day's backscatter from per-attack derived streams."""
         start = time.perf_counter()
         generator = BackscatterGenerator(
@@ -541,9 +563,8 @@ class NetworkTelescope:
             packets += generator.emit(
                 attack, local, stream=self._stream.derive("rsdos.emit", day, slot)
             )
-        records = list(local.records())
         timing = TaskTiming(
             plane="telescope", unit="rsdos", day=day,
-            seconds=time.perf_counter() - start, events=len(records),
+            seconds=time.perf_counter() - start, events=len(local),
         )
-        return records, packets, timing
+        return local, packets, timing

@@ -70,7 +70,7 @@ def analysis_digests(seed: int) -> Dict[str, str]:
             "one_time": one_time,
         }),
         "detect_rsdos": snapshot_digest(
-            detect_rsdos(results.telescope.writer.records())
+            detect_rsdos(results.telescope.writer.iter_rows())
         ),
         "render_table5": _text_digest(render_table5(results)),
         "render_table10": _text_digest(render_table10(results)),

@@ -93,7 +93,7 @@ def _capture_month(seed, workers=1):
 
 def _capture_fingerprint(capture):
     return (
-        [encode_flowtuple(record) for record in capture.writer.records()],
+        [encode_flowtuple(record) for record in capture.writer.iter_rows()],
         {str(protocol): sorted(sources) for protocol, sources
          in capture.sources_by_protocol.items()},
         {str(protocol): sorted(sources) for protocol, sources
@@ -193,7 +193,7 @@ class TestTelescopeDeterminism:
         assert timings and all(t.plane == "telescope" for t in timings)
         # Every FlowTuple the month filed was emitted under some task.
         assert (sum(t.events for t in timings)
-                == len(list(capture.writer.records())))
+                == len(list(capture.writer.iter_rows())))
         assert {t.unit for t in timings if t.unit != "rsdos"} <= {
             str(protocol) for protocol in capture.packets_by_protocol
         }

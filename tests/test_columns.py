@@ -13,9 +13,10 @@ Pins the contracts the vectorized stores rest on:
   canonical-order path of the three stores agrees with a recomputation over
   ``iter_rows()`` (dict counting, ``set``, ``sorted`` by the canonical
   tuple key);
-* **one protocol, one deprecation story** — the three stores satisfy the
-  :class:`~repro.core.columns.ColumnStore` protocol, and each shim warns
-  exactly once per call site with a removal release;
+* **one table** — the three stores are
+  :class:`~repro.core.columns.ColumnTable` subclasses whose bounded-slice
+  ``iter_rows`` equals a whole-column walk, and the telescope writer
+  files hand-added rows under their own day;
 * **no backend knob** — the configs and the CLI reject ``backend``.
 """
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -30,15 +32,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.attacks.schedule import AttackScheduleConfig
 from repro.cli import main
-from repro.core.columns import ColumnStore, make_numeric_column
+from repro.core import columns
+from repro.core.columns import ColumnTable, NumpyColumn, make_numeric_column
 from repro.core.config import StudyConfig
-from repro.honeypots.events import EventStore
+from repro.core.taxonomy import AttackType
+from repro.honeypots.events import AttackEvent, EventStore
 from repro.net.prng import RandomStream, keyed_uniform, keyed_uniform_array
 from repro.net.packet import TransportProtocol
-from repro.scanner.records import ScanDatabase
+from repro.protocols.base import ProtocolId, TransportKind
+from repro.scanner.records import ScanDatabase, ScanRecord
 from repro.scanner.zmap import ScanConfig
 from repro.telescope.flowtuple import (
-    FlowBlock,
     FlowTupleRecord,
     FlowTupleWriter,
     encode_flowtuple,
@@ -125,68 +129,37 @@ def _flow(i, day=0):
 
 class TestColumnStoreProtocol:
     def test_all_three_stores_satisfy_protocol(self):
-        assert isinstance(ScanDatabase(), ColumnStore)
-        assert isinstance(EventStore(), ColumnStore)
-        assert isinstance(FlowTupleWriter(), ColumnStore)
+        assert isinstance(ScanDatabase(), ColumnTable)
+        assert isinstance(EventStore(), ColumnTable)
+        assert isinstance(FlowTupleWriter(), ColumnTable)
 
     def test_plain_iterables_do_not(self):
-        assert not isinstance([], ColumnStore)
-
-    def test_writer_append_batch_groups_by_day(self):
-        writer = FlowTupleWriter()
-        rows = [_flow(i, day=i % 3) for i in range(30)]
-        assert writer.append_batch(rows) == 30
-        assert writer.days() == [0, 1, 2]
-        assert len(writer) == 30
-        assert writer.batch_appends == 1
+        assert not isinstance([], ColumnTable)
 
     def test_writer_where_and_count_by(self):
         writer = FlowTupleWriter()
         writer.append_batch([_flow(i, day=i % 3) for i in range(30)])
-        assert len(writer.where(day=1)) == 10
-        assert len(writer.where(day=(0, 2))) == 20
-        counts = writer.count_by("day")
+        assert writer.batch_appends == 1
+        assert len(writer.where(src_port=1024)) == 1
+        assert len(writer.where(src_port=(1024, 1025, 9999))) == 2
+        assert len(writer.where(country="DK", dst_port=23)) == 30
+        assert [len(list(writer.lines_for_day(day))) for day in
+                writer.days()] == [10, 10, 10]
+        counts = writer.count_by("src_ip")
         assert sum(counts.values()) == 30
-        distinct = writer.count_by("day", unique="src_ip")
-        assert set(distinct) == {0, 1, 2}
-
-    def test_flowblock_records_match_scalar_tuples(self):
-        block = FlowBlock(
-            3,
-            time=np.array([30, 10, 20]),
-            src_ip=np.array([1, 2, 3]),
-            dst_ip=np.array([4, 5, 6]),
-            src_port=np.array([1024, 1025, 1026]),
-            dst_port=23,
-            protocol=TransportProtocol.TCP,
-            ttl=np.array([60, 61, 62]),
-            tcp_flags=0x02,
-            ip_len=44,
-            packet_count=np.array([1, 2, 3]),
-            is_spoofed=np.array([True, False, True]),
-            is_masscan=np.array([False, True, False]),
-            country=["DK", "SE", "NO"],
-            asn=7,
-        )
-        records = list(block.records())
-        assert len(records) == len(block) == 3
-        first = records[0]
-        assert isinstance(first, FlowTupleRecord)
-        # Values unbox to native Python scalars (the byte-identity half).
-        assert type(first.time) is int and type(first.is_spoofed) is bool
-        assert first == FlowTupleRecord(
-            time=30, src_ip=1, dst_ip=4, src_port=1024, dst_port=23,
-            protocol=TransportProtocol.TCP, ttl=60, tcp_flags=0x02,
-            ip_len=44, packet_count=1, is_spoofed=True, is_masscan=False,
-            country="DK", asn=7,
-        )
+        assert all(type(key) is int for key in counts)
+        distinct = writer.count_by("dst_port", unique="src_ip")
+        assert distinct == {23: len({10_000 + (i * 7) % 53
+                                     for i in range(30)})}
+        with pytest.raises(KeyError, match="no such column"):
+            writer.where(day=1)
 
     def test_writer_sorted_canonical_matches_sorted(self):
         rows = [_flow(i, day=i % 3) for i in range(64)]
         writer = FlowTupleWriter()
         writer.append_batch(rows)
         assert ([encode_flowtuple(record)
-                 for record in writer.sorted_canonical().records()]
+                 for record in writer.sorted_canonical().iter_rows()]
                 == [encode_flowtuple(record)
                     for record in _python_sorted(rows, _FLOW_KEY)])
 
@@ -335,9 +308,41 @@ class TestBackendParity:
     def test_telescope_query_surface_agrees(self):
         writer = telescope_capture(7).writer
         records = list(writer.iter_rows())
-        assert list(writer.sorted_canonical().records()) == _python_sorted(
+        assert list(writer.sorted_canonical().iter_rows()) == _python_sorted(
             records, _FLOW_KEY
         )
+
+
+def _scan_row(i):
+    return ScanRecord(
+        address=(i * 7919) % 2**32, port=i % 65_536,
+        protocol=list(ProtocolId)[i % len(ProtocolId)],
+        transport=TransportKind.TCP if i % 2 else TransportKind.UDP,
+        banner=bytes([i % 256]), timestamp=i * 0.5,
+    )
+
+
+def _attack_row(i):
+    return AttackEvent(
+        honeypot=f"hp{i % 5}", protocol=list(ProtocolId)[i % 3],
+        source=i * 31, day=i % 30, timestamp=i * 1.25,
+        attack_type=list(AttackType)[i % len(AttackType)],
+        request_bytes=i,
+    )
+
+
+def _flow_row(i):
+    return FlowTupleRecord(
+        time=i * 97, src_ip=10_000 + i, dst_ip=738_197_504 + i * 3,
+        src_port=1024 + i % 60_000, dst_port=23 if i % 2 else 80,
+        protocol=TransportProtocol.TCP, ttl=32 + i % 200,
+        tcp_flags=0x12 if i % 7 == 0 else 0x02, ip_len=44,
+        packet_count=i + 1, is_spoofed=i % 3 == 0, is_masscan=i % 5 == 0,
+        country="DK", asn=i % 70_000,
+    )
+
+
+_SLICE = columns._ROW_SLICE
 
 
 class TestColumnTable:
@@ -346,6 +351,115 @@ class TestColumnTable:
     def test_column_rejects_names_that_are_not_fields(self, store, name):
         with pytest.raises(KeyError, match="no such column"):
             store().column(name)
+
+    @given(
+        store=st.sampled_from([
+            (ScanDatabase, _scan_row), (EventStore, _attack_row),
+            (FlowTupleWriter, _flow_row),
+        ]),
+        rows=st.one_of(
+            st.sampled_from([0, 1, _SLICE - 1, _SLICE, _SLICE + 1,
+                             3 * _SLICE + 2]),
+            st.integers(min_value=0, max_value=2 * _SLICE + 3),
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sliced_iter_rows_equals_whole_column_walk(self, store, rows):
+        table_type, make_row = store
+        table = table_type([make_row(i) for i in range(rows)])
+        reference = [
+            table_type.ROW._make(values) for values in zip(*(
+                column.tolist() if isinstance(column, NumpyColumn)
+                else column
+                for column in table._columns.values()
+            ))
+        ]
+        walked = list(table.iter_rows())
+        assert walked == reference == [make_row(i) for i in range(rows)]
+        assert [tuple(map(type, row)) for row in walked] == [
+            tuple(map(type, row)) for row in reference
+        ]
+
+    def test_flow_columns_unbox_to_native_scalars(self):
+        writer = FlowTupleWriter([_flow_row(3)])
+        row = next(iter(writer))
+        assert [type(value) for value in row] == [
+            int, int, int, int, int, TransportProtocol, int, int, int, int,
+            bool, bool, str, int,
+        ]
+        assert writer.column("is_spoofed").view().dtype == np.bool_
+        assert writer.column("ttl").view().dtype == np.int32
+
+    def test_from_columns_adopts_whole_columns(self):
+        flags = np.full(3, 0x02, dtype=np.int32)
+        writer = FlowTupleWriter.from_columns(dict(
+            time=np.array([30, 10, 20]),
+            src_ip=np.array([1, 2, 3]),
+            dst_ip=np.array([4, 5, 6]),
+            src_port=np.array([1024, 1025, 1026]),
+            dst_port=np.full(3, 23, dtype=np.int32),
+            protocol=[TransportProtocol.TCP] * 3,
+            ttl=np.array([60, 61, 62]),
+            tcp_flags=flags,
+            ip_len=np.full(3, 44, dtype=np.int32),
+            packet_count=np.array([1, 2, 3]),
+            is_spoofed=np.array([True, False, True]),
+            is_masscan=np.array([False, True, False]),
+            country=["DK", "SE", "NO"],
+            asn=[7, 7, 7],
+        ))
+        assert len(writer) == 3
+        assert writer.column("tcp_flags").view().base is flags  # no copy
+        assert writer.row(0) == FlowTupleRecord(
+            time=30, src_ip=1, dst_ip=4, src_port=1024, dst_port=23,
+            protocol=TransportProtocol.TCP, ttl=60, tcp_flags=0x02,
+            ip_len=44, packet_count=1, is_spoofed=True, is_masscan=False,
+            country="DK", asn=7,
+        )
+        with pytest.raises(ValueError, match="fields"):
+            FlowTupleWriter.from_columns({"time": [1]})
+        with pytest.raises(ValueError, match="one length"):
+            ScanDatabase.from_columns(dict(
+                address=[1, 2], port=[1], protocol=[ProtocolId.MQTT],
+                transport=[TransportKind.TCP], banner=[b""],
+                response=[b""], timestamp=[0.0], source=["zmap"],
+            ))
+
+    def test_hand_filled_writer_files_rows_by_their_day(self):
+        rows = [_flow(i, day=(i * 5) % 4) for i in range(40)]
+        writer = FlowTupleWriter()
+        for row in rows:
+            writer.add(row)
+        assert list(writer) == rows  # insertion order, days interleaved
+        assert writer.days() == [0, 1, 2, 3]
+        for day in writer.days():
+            assert list(writer.lines_for_day(day)) == [
+                encode_flowtuple(row) for row in rows if row.day == day
+            ]
+        # The day index follows growth.
+        writer.extend_day(7, [_flow(0, day=7), _flow(1, day=2)])
+        assert writer.days() == [0, 1, 2, 3, 7]
+        assert list(writer.lines_for_day(2))[-1] == encode_flowtuple(
+            _flow(1, day=2)
+        )
+        assert list(writer.lines_for_day(5)) == []
+
+    def test_numpy_column_pickles_its_live_prefix(self):
+        column = make_numeric_column("i64", range(17))
+        assert len(column._data) == 32  # a growth buffer with slack
+        exact = column.take(range(17))
+        assert len(exact._data) == 17
+        assert pickle.dumps(column) == pickle.dumps(exact)
+        for source in (column, exact):
+            restored = pickle.loads(pickle.dumps(source))
+            assert list(restored) == list(range(17))
+            restored.append(17)  # an exact-size column still grows
+            assert restored[-1] == 17 and len(restored) == 18
+
+    def test_empty_taken_column_can_grow(self):
+        column = make_numeric_column("i32").take([])
+        column.append(5)
+        assert list(column) == [5]
 
 
 # ---------------------------------------------------------------------------

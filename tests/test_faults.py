@@ -136,7 +136,7 @@ def _telescope(seed, workers=1, retries=0):
 
 def _capture_fingerprint(capture):
     return (
-        [encode_flowtuple(record) for record in capture.writer.records()],
+        [encode_flowtuple(record) for record in capture.writer.iter_rows()],
         {str(protocol): sorted(sources) for protocol, sources
          in capture.sources_by_protocol.items()},
         capture.rsdos_truth,
@@ -407,6 +407,25 @@ class TestTaskJournal:
             pickle.dump(entry, handle)
         assert journal.load(self._ref()) == (False, None)
 
+    def test_older_layout_reads_as_clean_miss(self, tmp_path):
+        # A version-2 entry may hold a telescope task result of a deleted
+        # type; it must miss without being quarantined as damage, and the
+        # re-run's store replaces it.
+        assert JOURNAL_SCHEMA_VERSION == 3
+        journal = TaskJournal(tmp_path, resume=True)
+        path = os.path.join(journal.directory, self._ref().filename())
+        os.makedirs(journal.directory, exist_ok=True)
+        with open(path, "wb") as handle:
+            handle.write(wrap_envelope(
+                pickle.dumps(7), schema=2, kind="journal",
+                key=self._ref().key(), fingerprint=journal.fingerprint,
+            ))
+        assert journal.load(self._ref()) == (False, None)
+        assert journal.quarantined == []
+        assert os.path.exists(path)
+        journal.store(self._ref(), 8)
+        assert journal.load(self._ref()) == (True, 8)
+
     def test_colliding_key_reads_as_miss(self, tmp_path):
         journal = TaskJournal(tmp_path, resume=True)
         journal.store(self._ref(0), 7)
@@ -604,18 +623,20 @@ class TestPhaseCacheHeader:
         )
         # An older envelope may hold stores in a layout the current
         # ``ColumnTable`` stores cannot serve (version 2: ``array``
-        # columns; version 3: per-field column attributes) or bytes the
-        # current phases no longer produce (version 4: XMPP stream ids
-        # shifted by other peers' sessions): it must miss.
-        assert ENGINE_SCHEMA_VERSION == 5
-        with open(tmp_path / f"{self.KEY}.pkl", "wb") as handle:
-            handle.write(wrap_envelope(
-                pickle.dumps({"zmap_db": 41}), schema=2, kind="phase",
-                key=self.KEY, fingerprint="fp",
-            ))
-        assert PhaseCache(directory=tmp_path).get(self.KEY, "fp") == (
-            None, False,
-        )
+        # columns; version 3: per-field column attributes; version 5: a
+        # chunked telescope writer) or bytes the current phases no longer
+        # produce (version 4: XMPP stream ids shifted by other peers'
+        # sessions): it must miss.
+        assert ENGINE_SCHEMA_VERSION == 6
+        for schema in (2, 5):
+            with open(tmp_path / f"{self.KEY}.pkl", "wb") as handle:
+                handle.write(wrap_envelope(
+                    pickle.dumps({"zmap_db": 41}), schema=schema,
+                    kind="phase", key=self.KEY, fingerprint="fp",
+                ))
+            assert PhaseCache(directory=tmp_path).get(self.KEY, "fp") == (
+                None, False,
+            )
 
     def test_cache_io_faults_degrade_to_miss(self, tmp_path):
         with faults.injected(_plan("cache.io:1:fatal")):

@@ -163,7 +163,7 @@ class TestRsdos:
                                   duration_seconds=600,
                                   packets_per_second=100_000)
         emitted = BackscatterGenerator(seed=5).emit(attack, writer)
-        records = list(writer.records())
+        records = list(writer.iter_rows())
         assert emitted > 0
         assert all(record.src_ip == 0x01020304 for record in records)
         assert all(record.tcp_flags == 0x12 for record in records)  # SYN|ACK
@@ -178,7 +178,7 @@ class TestRsdos:
                                   duration_seconds=3_600,
                                   packets_per_second=200_000)
         BackscatterGenerator(seed=5).emit(attack, writer)
-        detected = detect_rsdos(writer.records())
+        detected = detect_rsdos(writer.iter_rows())
         assert len(detected) == 1
         assert detected[0].victim == attack.victim
         assert detected[0].day == 3
@@ -193,7 +193,7 @@ class TestRsdos:
         attack = SpoofedDosAttack(victim=0x01020304, victim_port=80, day=0,
                                   duration_seconds=1, packets_per_second=10)
         BackscatterGenerator(seed=5).emit(attack, writer)
-        assert detect_rsdos(writer.records(), min_dark_targets=64) == []
+        assert detect_rsdos(writer.iter_rows(), min_dark_targets=64) == []
 
     def test_scan_syns_not_mistaken_for_backscatter(self):
         """Ordinary scan probes (pure SYN) never trigger the detector."""
@@ -207,13 +207,13 @@ class TestRsdos:
                 src_port=44_000, dst_port=23,
                 protocol=TransportProtocol.TCP, tcp_flags=0x02,
             ))
-        assert detect_rsdos(writer.records()) == []
+        assert detect_rsdos(writer.iter_rows()) == []
 
     def test_telescope_capture_includes_rsdos(self, quick_study):
         capture = quick_study.telescope
         assert capture.rsdos_truth
         detected = detect_rsdos(
-            capture.writer.records(),
+            capture.writer.iter_rows(),
             packet_scale=capture.config.packet_scale,
         )
         truth_victims = {(a.victim, a.day) for a in capture.rsdos_truth}

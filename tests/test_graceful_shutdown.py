@@ -47,7 +47,13 @@ class TestMaxCampaigns:
     def test_busy_server_returns_503_with_retry_after(self):
         server = ControlServer(port=0, max_campaigns=1, retry_after=7).start()
         try:
-            code, started = _post(server.port, "/sim/start", {"seed": 7})
+            # Paced so the campaign still holds its slot when the second
+            # start arrives: a warm phase cache generates the quick study
+            # at once, and its ~15k rows then stream for at least 7.5 s.
+            code, started = _post(
+                server.port, "/sim/start",
+                {"seed": 7, "events_per_second": 2000},
+            )
             assert code == 200
             campaign = started["campaign"]
 

@@ -41,6 +41,7 @@ from repro.core.integrity import (
 )
 from repro.core.study import Study
 from repro.core.tasks import (
+    JOURNAL_SCHEMA_VERSION,
     TaskDeadline,
     TaskJournal,
     TaskPlan,
@@ -258,8 +259,8 @@ class TestJournalQuarantine:
     def test_unpicklable_payload_is_quarantined(self, tmp_path):
         journal = TaskJournal(tmp_path, resume=True, fingerprint="fp")
         blob = wrap_envelope(
-            b"\x80\x04 not a pickle", schema=2, kind="journal",
-            key=_ref().key(), fingerprint="fp",
+            b"\x80\x04 not a pickle", schema=JOURNAL_SCHEMA_VERSION,
+            kind="journal", key=_ref().key(), fingerprint="fp",
         )
         self._plant(journal, blob)
         assert journal.load(_ref()) == (False, None)
@@ -529,13 +530,13 @@ class TestDeadlineRetryByteIdentity:
 
     def test_telescope_plane(self):
         baseline = self._telescope(23).capture_month()
-        reference = [encode_flowtuple(r) for r in baseline.writer.records()]
+        reference = [encode_flowtuple(r) for r in baseline.writer.iter_rows()]
         deadline = TaskDeadline(hard=0.05)
         telescope = self._telescope(23, retries=4)
         with faults.injected(_plan("deadline:0.25:0.15", seed=29)):
             disturbed = telescope.capture_month(deadline=deadline)
         assert [encode_flowtuple(r)
-                for r in disturbed.writer.records()] == reference
+                for r in disturbed.writer.iter_rows()] == reference
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def _telescope(seed, workers=1, executor=None):
 
 def _capture_fingerprint(capture):
     return (
-        [encode_flowtuple(record) for record in capture.writer.records()],
+        [encode_flowtuple(record) for record in capture.writer.iter_rows()],
         {str(protocol): sorted(sources) for protocol, sources
          in capture.sources_by_protocol.items()},
         capture.rsdos_truth,

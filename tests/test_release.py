@@ -22,6 +22,8 @@ from repro.scanner import probes, records
 from repro.scanner.rate import ScanRatePlan
 from repro.scanner.records import ScanDatabase
 from repro.scanner.zmap import InternetScanner
+from repro.telescope import flowtuple
+from repro.telescope.flowtuple import FlowTupleWriter
 from repro.telescope.telescope import NetworkTelescope
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -40,8 +42,9 @@ class TestRemovedSurface:
     oracles live under ``tests/oracles/``), the deprecation shims, the
     second description of a task batch and its metric copies, the
     write-through row views of the scan and attack stores, public
-    methods nothing called, and the hooks only the deleted multi-campaign
-    scheduler used."""
+    methods nothing called, the hooks only the deleted multi-campaign
+    scheduler used, and the telescope's own chunked store and the store
+    protocol it shared with the ``ColumnTable`` stores."""
 
     @pytest.mark.parametrize("owner, name", [
         pytest.param(AttackScheduler, "run_reference",
@@ -102,6 +105,12 @@ class TestRemovedSurface:
         pytest.param(StudyConfig, "quarantine_namespace",
                      id="StudyConfig.quarantine_namespace"),
         pytest.param(StudyMetrics, "summary", id="StudyMetrics.summary"),
+        pytest.param(flowtuple, "FlowBlock",
+                     id="repro.telescope.flowtuple.FlowBlock"),
+        pytest.param(columns, "ColumnStore",
+                     id="repro.core.columns.ColumnStore"),
+        pytest.param(FlowTupleWriter, "records",
+                     id="FlowTupleWriter.records"),
     ])
     def test_name_is_gone(self, owner, name):
         assert not hasattr(owner, name)

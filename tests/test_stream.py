@@ -96,7 +96,7 @@ BATCH = {
         "tor": analyze_tor_sources(results.schedule.log, results.exonerator),
     },
     "recurrence": lambda results: _recurrence(results.schedule.log),
-    "rsdos": lambda results: detect_rsdos(results.telescope.writer.records()),
+    "rsdos": lambda results: detect_rsdos(results.telescope.writer.iter_rows()),
 }
 
 

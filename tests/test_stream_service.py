@@ -97,7 +97,7 @@ class TestEventsRingOnRead:
             ("scan", list(quick_study.merged_db.iter_rows())[:700], 300),
             ("attacks", list(quick_study.schedule.log.iter_rows())[:900], 256),
             ("telescope",
-             list(islice(quick_study.telescope.writer.records(), 1500)), 1500),
+             list(islice(quick_study.telescope.writer, 1500)), 1500),
         )
         sim_time = 0.0
         for plane, rows, size in planes:
@@ -184,7 +184,7 @@ class TestStoreTaps:
         assert bus.published["attacks"] == 4
 
     def test_flowtuple_writer_tap(self, quick_study):
-        records = list(quick_study.telescope.writer.records())[:8]
+        records = list(quick_study.telescope.writer.iter_rows())[:8]
         writer = FlowTupleWriter()
         bus = EventBus()
         bus.tap(writer, "telescope")
@@ -192,7 +192,7 @@ class TestStoreTaps:
         assert bus.published["telescope"] == 8
 
     def test_unsubscribe_stops_the_stream(self, quick_study):
-        records = list(quick_study.telescope.writer.records())[:3]
+        records = list(quick_study.telescope.writer.iter_rows())[:3]
         writer = FlowTupleWriter()
         bus = EventBus()
         callback = bus.tap(writer, "telescope")

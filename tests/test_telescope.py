@@ -66,7 +66,7 @@ class TestFlowTupleCodec:
             ))
         assert writer.days() == [0, 2]
         assert len(list(writer.lines_for_day(0))) == 2
-        assert len(list(writer.records())) == 3
+        assert len(list(writer.iter_rows())) == 3
 
 
 @pytest.fixture(scope="module")
@@ -123,17 +123,17 @@ class TestTelescopeCapture:
     def test_records_target_dark_space(self, capture):
         cap, _ = capture
         dark = CidrBlock.parse("44.0.0.0/8")
-        for record in cap.writer.records():
+        for record in cap.writer.iter_rows():
             assert record.dst_ip in dark
 
     def test_ports_match_protocols(self, capture):
         cap, _ = capture
-        ports = {record.dst_port for record in cap.writer.records()}
+        ports = {record.dst_port for record in cap.writer.iter_rows()}
         assert 23 in ports and 1900 in ports and 5683 in ports
 
     def test_country_and_asn_annotated(self, capture):
         cap, _ = capture
-        record = next(iter(cap.writer.records()))
+        record = next(iter(cap.writer.iter_rows()))
         assert record.country
         assert record.asn >= 64_496
 
@@ -147,8 +147,8 @@ class TestTelescopeCapture:
             return telescope.capture_month()
 
         a, b = build(), build()
-        assert ([encode_flowtuple(r) for r in a.writer.records()]
-                == [encode_flowtuple(r) for r in b.writer.records()])
+        assert ([encode_flowtuple(r) for r in a.writer.iter_rows()]
+                == [encode_flowtuple(r) for r in b.writer.iter_rows()])
 
     def test_invalid_config(self):
         from repro.net.errors import ConfigError
