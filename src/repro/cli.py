@@ -89,6 +89,7 @@ from typing import List, Optional
 from repro import Study, StudyConfig, __version__
 from repro.attacks.schedule import AttackScheduleConfig
 from repro.core import faults
+from repro.core.columns import joined_pieces
 from repro.core.engine import PhaseCache
 from repro.core.faults import FaultPlan
 from repro.core.report import (
@@ -443,7 +444,9 @@ def _cmd_scan(args, out) -> int:
         out.write("\n\n")
     if args.export:
         with open(args.export, "w") as handle:
-            handle.write(study.results.merged_db.to_jsonl())
+            handle.writelines(
+                joined_pieces(study.results.merged_db.iter_jsonl())
+            )
         out.write(f"wrote {len(study.results.merged_db)} rows to "
                   f"{args.export}\n")
     _write_metrics(study, args, out)

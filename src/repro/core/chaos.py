@@ -40,9 +40,10 @@ import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.core import faults, tasks
+from repro.core.columns import joined_pieces
 from repro.core.config import StudyConfig
 from repro.core.engine import PhaseCache
 from repro.core.faults import FaultPlan
@@ -198,20 +199,24 @@ class ChaosReport:
 
 
 def artifact_digests(results) -> Dict[str, str]:
-    """SHA-256 over the canonical serialization of each plane store."""
+    """SHA-256 over the canonical serialization of each plane store: its
+    lines joined by ``"\\n"`` (the JSONL rows; the flow tuples day by
+    day), hashed as they stream so no plane's text is ever held whole."""
     writer = results.telescope.writer
-    flow_lines: List[str] = []
-    for day in writer.days():
-        flow_lines.extend(writer.lines_for_day(day))
     return {
-        "scan.merged_db": _digest(results.merged_db.to_jsonl()),
-        "attacks.log": _digest(results.schedule.log.to_jsonl()),
-        "telescope.flowtuples": _digest("\n".join(flow_lines)),
+        "scan.merged_db": _digest(results.merged_db.iter_jsonl()),
+        "attacks.log": _digest(results.schedule.log.iter_jsonl()),
+        "telescope.flowtuples": _digest(
+            line for day in writer.days() for line in writer.lines_for_day(day)
+        ),
     }
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _digest(lines: Iterable[str]) -> str:
+    digest = hashlib.sha256()
+    for piece in joined_pieces(lines):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 def _study_config(cfg: ChaosConfig, journal_dir: Optional[str]) -> StudyConfig:

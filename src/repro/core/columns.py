@@ -33,6 +33,7 @@ the stores' bytes.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -51,6 +52,7 @@ import numpy as np
 __all__ = [
     "ColumnTable",
     "NumpyColumn",
+    "joined_pieces",
     "make_numeric_column",
     "make_object_column",
 ]
@@ -69,6 +71,11 @@ _NP_DTYPES = {
 #: Rows :meth:`ColumnTable.iter_rows` materializes per slice, so walking a
 #: table never unboxes a whole column at once.
 _ROW_SLICE = 4096
+
+#: Lines a streamed serialization (:func:`joined_pieces`, the FlowTuple
+#: encoder) holds per slice.  A slice's Python objects (about twenty per
+#: flow row) stay near a megabyte, a small fraction of any plane's text.
+_TEXT_SLICE = 1024
 
 
 class NumpyColumn:
@@ -443,6 +450,23 @@ class ColumnTable:
         result.extend(sorted(self.iter_rows(), key=self.canonical_key))
         return result
 
+    def iter_jsonl(self) -> Iterator[str]:
+        """Each row's JSON line (``ROW.to_json``), in insertion order."""
+        return map(self.ROW.to_json, self.iter_rows())
+
     def to_jsonl(self) -> str:
         """Serialize all rows as JSONL."""
-        return "\n".join(row.to_json() for row in self.iter_rows())
+        return "\n".join(self.iter_jsonl())
+
+
+def joined_pieces(lines: Iterable[str]) -> Iterator[str]:
+    r"""``"\n".join(lines)`` in pieces of at most :data:`_TEXT_SLICE` lines:
+    the pieces concatenate to the joined text (no trailing newline,
+    nothing for no lines), which is never held whole."""
+    lines = iter(lines)
+    chunk = list(islice(lines, _TEXT_SLICE))
+    while chunk:
+        yield "\n".join(chunk)
+        chunk = list(islice(lines, _TEXT_SLICE))
+        if chunk:
+            yield "\n"

@@ -51,7 +51,7 @@ class TestCommands:
         assert "Table 5" in text
         assert "Table 6" in text
 
-    def test_scan_export(self, tmp_path):
+    def test_scan_export(self, tmp_path, quick_study):
         path = tmp_path / "scan.jsonl"
         code, text = self._run(["scan", "--quick", "--export", str(path)])
         assert code == 0
@@ -61,6 +61,11 @@ class TestCommands:
 
         row = json.loads(lines[0])
         assert "ip" in row and "protocol" in row
+        # The streamed export is the store's JSONL byte for byte (no
+        # trailing newline).
+        assert path.read_bytes() == (
+            quick_study.merged_db.to_jsonl().encode("utf-8")
+        )
 
     def test_attacks_quick(self):
         code, text = self._run(["attacks", "--quick", "--days", "10"])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -108,6 +109,34 @@ class TestUniformArrayEquivalence:
             serial.random() for _ in range(5_000)
         ]
         assert batched.random() == serial.random()
+
+    def test_threads_interleaving_batches_each_match_their_scalar_draws(self):
+        # Each thread transplants through its own scratch twister, so
+        # batches interleaved across threads never see each other's state.
+        sizes = [64, 700, 5_000, 64, 1_000] * 10
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def draw(name):
+            stream = RandomStream(7, name)
+            batches = []
+            for n in sizes:
+                barrier.wait()
+                batches.extend(stream.uniform_array(n).tolist())
+            batches.append(stream.random())
+            results[name] = batches
+
+        threads = [threading.Thread(target=draw, args=(name,))
+                   for name in ("left", "right")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in ("left", "right"):
+            serial = RandomStream(7, name)
+            assert results[name] == [
+                serial.random() for _ in range(sum(sizes) + 1)
+            ]
 
 
 # ---------------------------------------------------------------------------
