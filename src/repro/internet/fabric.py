@@ -250,9 +250,10 @@ class SimulatedInternet:
         host = self._hosts.get(dst)
         if host is None or host.service_on(port) is None:
             return None
-        if host.latency is None:
+        latency = host.latency_model()
+        if latency is None:
             return 1.0  # hosts without a model answer at a nominal 1ms
-        return host.latency.sample(stream)
+        return latency.sample(stream)
 
     def udp_query(self, src: int, dst: int, port: int, payload: bytes) -> Optional[bytes]:
         """One UDP request/response exchange.

@@ -21,6 +21,7 @@ from repro.net.errors import AddressError, AllocationError
 __all__ = [
     "ip_to_int",
     "int_to_ip",
+    "octets",
     "is_valid_ip",
     "CidrBlock",
     "AddressAllocator",
@@ -50,11 +51,20 @@ def ip_to_int(text: str) -> int:
     return value
 
 
-def int_to_ip(value: int) -> str:
-    """Render an integer as a dotted-quad IPv4 string."""
+def octets(value: int) -> Tuple[int, int, int, int]:
+    """The four octets of an IPv4 address, most significant first.
+
+    Raises :class:`AddressError` for a value outside 0 .. 2**32-1.
+    """
     if not 0 <= value <= 0xFFFFFFFF:
         raise AddressError(f"address out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return (value >> 24, (value >> 16) & 0xFF, (value >> 8) & 0xFF,
+            value & 0xFF)
+
+
+def int_to_ip(value: int) -> str:
+    """Render an integer as a dotted-quad IPv4 string."""
+    return "%d.%d.%d.%d" % octets(value)
 
 
 def is_valid_ip(text: str) -> bool:
