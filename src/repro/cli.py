@@ -16,11 +16,6 @@ experiment without writing Python:
   (:mod:`repro.stream`): an HTTP control surface to start paced
   campaigns, poll status, and tail live events/alerts as SSE.  SIGTERM
   or SIGINT drain active campaigns and SSE clients, then exit 0;
-* ``chaos``      — the seeded chaos soak (:mod:`repro.core.chaos`): run
-  a campaign under a randomized fault plan spanning every injection
-  site (worker kills and hangs included), let the supervisors recover,
-  and assert the artifacts byte-match a fault-free run and pass the
-  validate invariants.
 
 All commands accept ``--seed`` and the scale knobs, so campaigns are
 reproducible from the shell line alone, plus the engine knobs:
@@ -288,44 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "after this many seconds without progress "
                             "(0 disables; default 0)")
 
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="seeded chaos soak: run a campaign under randomized faults "
-             "at every site (worker kills and hangs included) and assert "
-             "byte-identity with a fault-free run (exit 5 on divergence)",
-    )
-    chaos.add_argument("--seed", type=int, default=7,
-                       help="study seed (default 7)")
-    chaos.add_argument("--fault-seed", type=int, default=93,
-                       help="seed of the randomized fault plan "
-                            "(default 93)")
-    chaos.add_argument("--scale", type=int, default=4096,
-                       help="population scale divisor for the soaked "
-                            "campaign (default 4096)")
-    chaos.add_argument("--workers", type=int, default=4, metavar="K",
-                       help="process-pool workers for the soaked run "
-                            "(default 4)")
-    chaos.add_argument("--retries", type=int, default=3, metavar="N",
-                       help="supervised-task retries during the soak "
-                            "(default 3)")
-    chaos.add_argument("--restart-budget", type=int, default=3,
-                       metavar="N",
-                       help="pool rebuilds before the supervisor "
-                            "finishes the batch serially "
-                            "(default 3)")
-    chaos.add_argument("--hang-timeout", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="pool no-progress watchdog window "
-                            "(default 5.0)")
-    chaos.add_argument("--faults", metavar="SPEC", default="",
-                       help="override the soak's fault plan (same grammar "
-                            "as --inject-faults; default: a plan spanning "
-                            "every site)")
-    chaos.add_argument("--metrics-json", metavar="PATH", default="",
-                       help="write the soaked run's metrics (supervisor "
-                            "and bus rows included) as JSON to PATH "
-                            "('-' for stdout)")
-
     return parser
 
 
@@ -583,38 +540,6 @@ def _cmd_serve(args, out) -> int:
     return ExitCode.OK
 
 
-def _cmd_chaos(args, out) -> int:
-    from repro.core.chaos import ChaosConfig, run_chaos
-
-    report = run_chaos(ChaosConfig(
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        scale=args.scale,
-        workers=args.workers,
-        retries=args.retries,
-        restart_budget=args.restart_budget,
-        hang_timeout=args.hang_timeout,
-        fault_spec=args.faults or None,
-    ), progress=out.write)
-    out.write(report.render())
-    if args.metrics_json:
-        text = report.metrics_json()
-        if args.metrics_json == "-":
-            out.write(text + "\n")
-        else:
-            try:
-                with open(args.metrics_json, "w") as handle:
-                    handle.write(text + "\n")
-            except OSError as error:
-                raise ConfigError(
-                    f"cannot write metrics to {args.metrics_json!r}: "
-                    f"{error}"
-                ) from error
-    report.raise_on_failure()  # ValidationError -> exit code 5
-    out.write("chaos soak passed: artifacts byte-identical under faults\n")
-    return EXIT_OK
-
-
 _COMMANDS = {
     "run": _cmd_run,
     "scan": _cmd_scan,
@@ -623,7 +548,6 @@ _COMMANDS = {
     "intersect": _cmd_intersect,
     "validate": _cmd_validate,
     "serve": _cmd_serve,
-    "chaos": _cmd_chaos,
 }
 
 

@@ -706,11 +706,12 @@ def pool_supervision(
 ) -> Iterator[None]:
     """Scope process-pool supervision defaults for nested ``run_tasks``.
 
-    The measurement planes call :func:`run_tasks` without supervision
-    arguments, so the chaos harness and the CLI arm the watchdog here:
-    every batch inside the ``with`` body inherits ``hang_timeout`` (the
+    The one way to tune the pool supervisor: every :func:`run_tasks`
+    batch inside the ``with`` body inherits ``hang_timeout`` (the
     no-progress window, seconds) and ``restart_budget`` (pool rebuilds
-    before downgrading).  Omitted values keep the surrounding defaults.
+    before downgrading).  Omitted values keep the surrounding defaults;
+    outside any scope the watchdog is disarmed and the budget is
+    :data:`DEFAULT_RESTART_BUDGET`.
     """
     global _default_hang_timeout, _default_restart_budget
     previous = (_default_hang_timeout, _default_restart_budget)
@@ -821,8 +822,6 @@ def run_tasks(
     deadline: Optional[TaskDeadline] = None,
     executor: Optional[str] = None,
     stats: Optional[ExecutorStats] = None,
-    restart_budget: Optional[int] = None,
-    hang_timeout: Optional[float] = None,
 ) -> List[_T]:
     """Run a :class:`TaskPlan`'s independent tasks supervised, in order.
 
@@ -845,13 +844,13 @@ def run_tasks(
     events for the metrics surface.  A failure surfaces as
     :class:`~repro.net.errors.TaskFailure` carrying the task's ref.
 
-    ``restart_budget`` and ``hang_timeout`` tune the process-pool
-    supervisor (defaults come from :func:`pool_supervision` scope or the
-    module constants): a broken pool or a watchdog timeout rebuilds the
-    pool and requeues the unfinished tasks — byte-identical, because the
-    tasks are pure functions of their derived PRNG keys — and when the
-    budget runs out the leftover tasks finish inline, where worker fault
-    sites cannot fire.
+    The process-pool supervisor takes its restart budget and watchdog
+    window from the enclosing :func:`pool_supervision` scope: a broken
+    pool or a watchdog timeout rebuilds the pool and requeues the
+    unfinished tasks — byte-identical, because the tasks are pure
+    functions of their derived PRNG keys — and when the budget runs out
+    the leftover tasks finish inline, where worker fault sites cannot
+    fire.
     """
     payloads = plan.payloads
     if refs is None:
@@ -863,11 +862,6 @@ def run_tasks(
         )
     retries = max(0, retries)
     kind = resolve_executor(executor, workers=workers)
-    if restart_budget is None:
-        restart_budget = _default_restart_budget
-    restart_budget = max(0, restart_budget)
-    if hang_timeout is None:
-        hang_timeout = _default_hang_timeout
 
     results: List[Optional[_T]] = [None] * len(payloads)
     pending: Sequence[int] = range(len(payloads))
@@ -875,7 +869,8 @@ def run_tasks(
         pending = _run_process_pool(
             plan, refs, workers, retries, journal, deadline,
             stats, results,
-            restart_budget=restart_budget, hang_timeout=hang_timeout,
+            restart_budget=_default_restart_budget,
+            hang_timeout=_default_hang_timeout,
         )
         if not pending:
             return results  # type: ignore[return-value]

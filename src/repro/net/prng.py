@@ -57,10 +57,16 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-#: Below this many draws the MT19937 state transplant (624 words copied
-#: each way) costs more than the scalar loop; both paths yield identical
-#: floats, so the threshold is a pure performance knob.
+#: Below this many draws the scalar SplitMix64 loop beats the vectorized
+#: mix of :func:`keyed_uniform_array`.  Both paths yield identical floats,
+#: so the threshold is a pure performance knob.
 _BATCH_MIN = 64
+
+#: Below this many draws :meth:`RandomStream.uniform_array`'s MT19937
+#: state transplant (624 words copied each way, ~200 µs) costs more than
+#: the scalar loop: break-even measured at 2,048-2,176 draws (timeit, 2
+#: vCPUs, Python 3.11, numpy 2.4).  Also a pure performance knob.
+_TRANSPLANT_MIN = 2048
 
 #: Words in the Mersenne Twister state vector.
 _MT_N = 624
@@ -255,7 +261,7 @@ class RandomStream:
         624-word transplant costs more than the loop, a scalar loop
         produces the same values.
         """
-        if n < _BATCH_MIN:
+        if n < _TRANSPLANT_MIN:
             rnd = self._rng.random
             return np.array([rnd() for _ in range(n)], dtype=np.float64)
         version, internal, gauss_next = self._rng.getstate()

@@ -26,6 +26,7 @@ import io
 import json
 import pickle
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from repro.core.columns import ColumnTable, NumpyColumn, make_numeric_column
 from repro.core.config import StudyConfig
 from repro.core.taxonomy import AttackType
 from repro.honeypots.events import AttackEvent, EventStore
+from repro.net import prng
 from repro.net.prng import RandomStream, keyed_uniform, keyed_uniform_array
 from repro.net.packet import TransportProtocol
 from repro.protocols.base import ProtocolId, TransportKind
@@ -77,7 +79,9 @@ class TestUniformArrayEquivalence:
         serial = RandomStream(seed, "prop")
         for _ in range(prefix):  # desynchronise from a fresh state
             assert batched.random() == serial.random()
-        draws = batched.uniform_array(n)
+        # A lowered threshold sends draws of 64-700 through the transplant.
+        with mock.patch.object(prng, "_TRANSPLANT_MIN", 64):
+            draws = batched.uniform_array(n)
         assert isinstance(draws, np.ndarray) and draws.dtype == np.float64
         assert draws.tolist() == [serial.random() for _ in range(n)]
         # The stream continues exactly as if the draws had been scalar.
