@@ -7,7 +7,7 @@ step three.
 """
 
 from repro.analysis.multistage import detect_multistage
-from repro.attacks.schedule import PAPER_MULTISTAGE_ATTACKS
+from repro.attacks.plan import PAPER_MULTISTAGE_ATTACKS
 from repro.core.report import render_figure9
 from repro.protocols.base import ProtocolId
 

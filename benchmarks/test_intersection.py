@@ -6,7 +6,7 @@ and compares every published number.
 """
 
 from repro.analysis.infected import analyze_infected_hosts
-from repro.attacks.schedule import (
+from repro.attacks.plan import (
     PAPER_CENSYS_IOT_SPLIT,
     PAPER_DOMAINS_WITH_WEBPAGE,
     PAPER_INFECTED_SPLIT,

@@ -4,11 +4,8 @@ Regenerates the whole attack month (fresh deployment + scheduler) and
 compares per-honeypot/protocol event counts and unique-source splits.
 """
 
-from repro.attacks.schedule import (
-    PAPER_HONEYPOT_EVENTS,
-    PAPER_HONEYPOT_SOURCES,
-    AttackScheduler,
-)
+from repro.attacks.plan import PAPER_HONEYPOT_EVENTS, PAPER_HONEYPOT_SOURCES
+from repro.attacks.schedule import AttackScheduler
 from repro.core.report import render_table7
 from repro.honeypots.deployment import HONEYPOT_NAMES, build_deployment
 from repro.protocols.base import ProtocolId

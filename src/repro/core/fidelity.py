@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.attacks.schedule import (
+from repro.attacks.plan import (
     PAPER_HONEYPOT_EVENTS,
     PAPER_HONEYPOT_SOURCES,
     PAPER_INFECTED_SPLIT,

@@ -1,29 +1,27 @@
-"""Lab honeypot framework: session recording over real protocol engines.
+"""Lab honeypot framework: real protocol engines under observation.
 
 Each lab honeypot is a :class:`SimulatedHost` whose services are ordinary
 protocol engines (the same classes the device population uses — honeypots
 *are* emulations of devices).  What makes it a honeypot is observation:
-every session driven against it yields a :class:`SessionTranscript`, which
-the honeypot classifies into an attack type (``classify.py``) and appends to
-the shared :class:`EventStore`.
+every session the attack month (:mod:`repro.attacks.schedule`) drives
+against it yields a :class:`SessionTranscript`, which is classified into
+an attack type (``classify.py``) and appended to the shared
+:class:`EventStore`.
 
-Attack actors therefore interact through the fabric exactly like the real
-attackers interacted over the Internet; the honeypot only sees bytes, and
-the event labels in the log are *inferred*, with the actor's ground-truth
-label carried alongside for fidelity tests.
+The honeypot only sees bytes: the event labels in the log are *inferred*,
+with the actor's ground-truth label carried alongside for fidelity tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.honeypots.events import AttackEvent, EventStore
+from repro.honeypots.events import EventStore
 from repro.internet.fabric import SimulatedInternet
 from repro.internet.host import SimulatedHost
-from repro.net.errors import ConnectionRefused, HostUnreachable
 from repro.net.ipv4 import ip_to_int
-from repro.protocols.base import ProtocolId, ProtocolServer, transport_of, TransportKind
+from repro.protocols.base import ProtocolId, ProtocolServer
 
 __all__ = ["SessionTranscript", "LabHoneypot", "HoneypotDeployment"]
 
@@ -94,39 +92,9 @@ class LabHoneypot:
 
         self.pcap = PcapCapture(self.address)
 
-    def record(
-        self,
-        transcript: SessionTranscript,
-        day: int,
-        timestamp: float,
-        actor: str = "",
-        malware_hash: str = "",
-    ) -> AttackEvent:
-        """Classify a finished session and append it to the event log."""
-        from repro.honeypots.classify import classify_session
-
-        if self.pcap is not None:
-            self.pcap.record(transcript, timestamp)
-
-        attack_type, summary = classify_session(transcript)
-        event = AttackEvent(
-            honeypot=self.name,
-            protocol=transcript.protocol,
-            source=transcript.source,
-            day=day,
-            timestamp=timestamp,
-            attack_type=attack_type,
-            actor=actor,
-            summary=summary,
-            malware_hash=malware_hash,
-            request_bytes=transcript.request_bytes,
-        )
-        self.log.add(event)
-        return event
-
 
 class HoneypotDeployment:
-    """The six-honeypot lab: attachment, lookup, and session driving."""
+    """The six-honeypot lab: attachment and lookup."""
 
     def __init__(self, honeypots: List[LabHoneypot], log: EventStore) -> None:
         self.honeypots = honeypots
@@ -163,39 +131,3 @@ class HoneypotDeployment:
             honeypot for honeypot in self.honeypots
             if honeypot.ports_for(protocol)
         ]
-
-    def drive_session(
-        self,
-        internet: SimulatedInternet,
-        source: int,
-        honeypot: LabHoneypot,
-        protocol: ProtocolId,
-        payloads: List[bytes],
-    ) -> Optional[SessionTranscript]:
-        """Run one attacker session against a honeypot service.
-
-        Returns the transcript, or None when the service is unreachable
-        (e.g. crashed under flood) — the attacker sees nothing either way.
-        """
-        ports = honeypot.ports_for(protocol)
-        if not ports:
-            return None
-        port = ports[0]
-        transcript = SessionTranscript(protocol=protocol, port=port, source=source)
-        if transport_of(protocol) == TransportKind.UDP:
-            for payload in payloads:
-                reply = internet.udp_query(source, honeypot.address, port, payload)
-                transcript.exchanges.append((payload, reply or b""))
-            return transcript
-        try:
-            connection = internet.tcp_connect(source, honeypot.address, port)
-        except (HostUnreachable, ConnectionRefused):
-            return None
-        transcript.banner = connection.banner
-        for payload in payloads:
-            if connection.closed:
-                break
-            reply = connection.send(payload)
-            transcript.exchanges.append((payload, reply))
-        connection.close()
-        return transcript

@@ -18,9 +18,11 @@ from typing import Dict, Tuple
 from repro.attacks.malware import TaskCorpusView
 from repro.attacks.payloads import build_payloads
 from repro.attacks.schedule import (
-    AttackScheduler,
     _AttackWorkerState,
     _TaskOutcome,
+    _int_state,
+    _reset_services,
+    _task_lost,
 )
 from repro.core.tasks import TaskTiming
 from repro.honeypots.base import SessionTranscript
@@ -43,7 +45,7 @@ def scalar_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
         day_base + ts_uniform(0, 86_399) for _ in range(len(sessions))
     ]
     services = copy.deepcopy(pristine)
-    base_state = AttackScheduler._int_state(services)
+    base_state = _int_state(services)
     corpus_view = TaskCorpusView(state.corpus)
     outcome = _TaskOutcome(honeypot=honeypot_name)
     events = outcome.events
@@ -59,7 +61,7 @@ def scalar_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
         protocol = planned.protocol
         if protocol is not current_protocol:
             # Each (protocol, day) batch starts on live services.
-            AttackScheduler._reset_services(services)
+            _reset_services(services)
             current_protocol = protocol
             ports = [
                 p for p, candidate in services.items()
@@ -86,7 +88,7 @@ def scalar_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
             open_session = server.open_session
             if lossy:
                 for item in payloads:
-                    if AttackScheduler._task_lost(
+                    if _task_lost(
                         loss_model, src, honeypot_address, port, "udp",
                         day, attempts,
                     ):
@@ -103,7 +105,7 @@ def scalar_attack_task(state: _AttackWorkerState, payload) -> _TaskOutcome:
                         (item, reply.data if reply.data else b"")
                     )
         else:
-            if lossy and AttackScheduler._task_lost(
+            if lossy and _task_lost(
                 loss_model, src, honeypot_address, port, "tcp",
                 day, attempts,
             ):

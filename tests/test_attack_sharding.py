@@ -127,33 +127,19 @@ class TestAttackMonthDeterminism:
 
 
 class TestBatchScalarOracle:
-    @pytest.mark.parametrize("seed", [7, 23])
-    def test_batch_drawn_sessions_match_scalar_oracle(self, seed):
-        """Every (honeypot, day) task produces identical outcomes under
-        the block-drawn path (``uniform_array`` timestamps, run-grouped
-        ``handle_repeat`` driving, memoized classification) and the scalar
-        differential oracle (per-event draws and per-payload ``handle``
-        calls) — the fidelity contract behind the batch rewrite."""
-        population = PopulationBuilder(
-            PopulationConfig(seed=seed, scale=8192, honeypot_scale=256)
-        ).build()
+    @staticmethod
+    def _assert_tasks_match_oracle(seed, loss_rate=0.0):
+        population = PopulationBuilder(PopulationConfig(
+            seed=seed, scale=8192, honeypot_scale=256, loss_rate=loss_rate,
+        )).build()
         deployment = build_deployment()
         deployment.attach(population.internet)
         scheduler = AttackScheduler(
             population.internet, deployment, population,
             AttackScheduleConfig(seed=seed, attack_scale=128),
         )
-        scheduler._mark_listings()
-        pools = scheduler._build_infected_pools()
-        sources = scheduler._build_sources(pools)
-        budgets = scheduler._scaled_budgets()
-        plan = {}
-        scheduler._plan_multistage(sources, budgets, plan)
-        for honeypot in deployment.honeypots:
-            scheduler._plan_honeypot(
-                honeypot, sources[honeypot.name], budgets, plan
-            )
-        compared = 0
+        plan = scheduler.plan().sessions
+        compared = dropped = 0
         for (name, day), sessions in sorted(plan.items()):
             if not sessions:
                 continue
@@ -173,8 +159,25 @@ class TestBatchScalarOracle:
                 == [(s.family, s.sha256) for s in scalar.minted]
             )
             compared += 1
+            dropped += batch.dropped
         assert compared > 50  # the month genuinely exercised the matrix
+        assert (dropped > 0) == (loss_rate > 0)
         deployment.detach(population.internet)
+
+    @pytest.mark.parametrize("seed", [7, 23])
+    def test_batch_drawn_sessions_match_scalar_oracle(self, seed):
+        """Every (honeypot, day) task produces identical outcomes under
+        the block-drawn path (``uniform_array`` timestamps, run-grouped
+        ``handle_repeat`` driving, memoized classification) and the scalar
+        differential oracle (per-event draws and per-payload ``handle``
+        calls) — the fidelity contract behind the batch rewrite."""
+        self._assert_tasks_match_oracle(seed)
+
+    def test_lossy_sessions_match_scalar_oracle(self):
+        """Under probe loss, the batch path's vectorized UDP loss verdicts
+        and its per-session ``_task_lost`` draws match the oracle's
+        per-datagram draws, and TCP sessions drop identically."""
+        self._assert_tasks_match_oracle(7, loss_rate=0.12)
 
 
 class TestTelescopeDeterminism:

@@ -11,13 +11,13 @@ from repro.attacks.credentials import (
 )
 from repro.attacks.malware import FAMILY_BY_PROTOCOL, KNOWN_SAMPLES, MalwareCorpus
 from repro.attacks.payloads import build_payloads
-from repro.attacks.scanning_services import SCANNING_SERVICES, service_by_name
-from repro.attacks.schedule import (
+from repro.attacks.plan import (
     MALICIOUS_TYPE_MIX,
     PAPER_HONEYPOT_EVENTS,
     PAPER_HONEYPOT_SOURCES,
-    AttackScheduleConfig,
 )
+from repro.attacks.scanning_services import SCANNING_SERVICES, service_by_name
+from repro.attacks.schedule import AttackScheduleConfig
 from repro.core.taxonomy import AttackType, TrafficClass
 from repro.net.errors import ConfigError
 from repro.net.prng import RandomStream

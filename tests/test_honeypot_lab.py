@@ -1,14 +1,11 @@
 """Tests for the lab honeypots: deployment, session driving, classification,
 event log."""
 
-import pytest
-
 from repro.core.taxonomy import AttackType
 from repro.honeypots.base import SessionTranscript
 from repro.honeypots.classify import FLOOD_SESSION_THRESHOLD, classify_session
-from repro.honeypots.deployment import HONEYPOT_NAMES, build_deployment
+from repro.honeypots.deployment import HONEYPOT_NAMES
 from repro.honeypots.events import AttackEvent, EventStore
-from repro.internet.fabric import SimulatedInternet
 from repro.net.ipv4 import ip_to_int
 from repro.protocols.base import ProtocolId
 from repro.protocols.mqtt import encode_connect, encode_publish, encode_subscribe
@@ -18,11 +15,19 @@ from repro.protocols.upnp import msearch_request
 SRC = ip_to_int("77.88.99.1")
 
 
-@pytest.fixture()
-def lab(deployment):
-    net = SimulatedInternet()
-    deployment.attach(net)
-    return net, deployment
+def _tcp_session(server, payloads):
+    """Drive one TCP session straight against a server, as the attack
+    month's tasks do: the accept banner, then one exchange per payload
+    until the server closes."""
+    session = server.open_session(peer=SRC)
+    banner = server.accept(session)
+    exchanges = []
+    for payload in payloads:
+        reply = server.handle(payload, session)
+        exchanges.append((payload, reply.data))
+        if reply.close:
+            break
+    return banner, exchanges
 
 
 class TestDeploymentShape:
@@ -63,44 +68,37 @@ class TestDeploymentShape:
 
 
 class TestSessionDriving:
-    def test_tcp_session_records_banner_and_exchanges(self, lab):
-        net, deployment = lab
-        honeypot = deployment.get("Cowrie")
-        transcript = deployment.drive_session(
-            net, SRC, honeypot, ProtocolId.TELNET, [b"root", b"xc3511"]
-        )
-        assert transcript.banner == b"\xff\xfd\x1flogin: "
-        assert len(transcript.exchanges) == 2
+    def test_tcp_session_records_banner_and_exchanges(self, deployment):
+        server = deployment.get("Cowrie").services[23]
+        banner, exchanges = _tcp_session(server, [b"root", b"xc3511"])
+        assert banner == b"\xff\xfd\x1flogin: "
+        assert len(exchanges) == 2
 
-    def test_udp_session(self, lab):
-        net, deployment = lab
+    def test_udp_session(self, deployment):
         honeypot = deployment.get("U-Pot")
-        transcript = deployment.drive_session(
-            net, SRC, honeypot, ProtocolId.UPNP,
-            [msearch_request(), b"GET /rootDesc.xml HTTP/1.1\r\n\r\n"],
-        )
-        assert b"LOCATION" in transcript.exchanges[0][1]
-        assert b"Belkin" in transcript.exchanges[1][1]
+        server = honeypot.services[honeypot.ports_for(ProtocolId.UPNP)[0]]
+        replies = [
+            server.handle(payload, server.open_session(peer=SRC)).data
+            for payload in (
+                msearch_request(), b"GET /rootDesc.xml HTTP/1.1\r\n\r\n"
+            )
+        ]
+        assert b"LOCATION" in replies[0]
+        assert b"Belkin" in replies[1]
 
-    def test_unsupported_protocol_returns_none(self, lab):
-        net, deployment = lab
-        assert deployment.drive_session(
-            net, SRC, deployment.get("U-Pot"), ProtocolId.TELNET, []
-        ) is None
-
-    def test_record_appends_event(self, lab):
-        net, deployment = lab
+    def test_mqtt_poisoning_session_classifies(self, deployment):
         honeypot = deployment.get("HosTaGe")
-        transcript = deployment.drive_session(
-            net, SRC, honeypot, ProtocolId.MQTT,
-            [encode_connect("bot"), encode_publish("arduino/sensors/smoke", b"99")],
+        port = honeypot.ports_for(ProtocolId.MQTT)[0]
+        banner, exchanges = _tcp_session(
+            honeypot.services[port],
+            [encode_connect("bot"),
+             encode_publish("arduino/sensors/smoke", b"99")],
         )
-        event = honeypot.record(transcript, day=3, timestamp=3.5 * 86_400,
-                                actor="test")
-        assert len(deployment.log) == 1
-        assert event.attack_type == AttackType.DATA_POISONING
-        assert event.honeypot == "HosTaGe"
-        assert event.source == SRC
+        transcript = SessionTranscript(
+            protocol=ProtocolId.MQTT, port=port, source=SRC,
+            exchanges=exchanges, banner=banner,
+        )
+        assert classify_session(transcript)[0] == AttackType.DATA_POISONING
 
 
 class TestClassification:

