@@ -2,8 +2,11 @@
 
 Scales (documented in EXPERIMENTS.md): population 1:1024, wild honeypots
 1:64, attacks 1:16, telescope sources 1:8192 (Telnet) / 1:64 (rest),
-telescope packets 1:16384.  Every bench times the *regeneration* of its
-artifact from pipeline inputs and prints a paper-vs-measured comparison.
+telescope packets 1:16384.  ``test_claims.py`` checks every paper claim
+against this study's artifacts; the ablation and extension benches time
+their own partial pipelines and print paper-vs-measured blocks
+(:func:`compare`).  The study benchmark under ``bench/`` times the whole
+study.
 
 The pipeline run goes through the phase engine's shared cache, so ablation
 benches that re-run partial pipelines with the same config reuse the
@@ -20,13 +23,14 @@ from repro.core.engine import default_cache
 
 
 @pytest.fixture(scope="session")
-def study(_pipeline_study):
-    """The full paper-scale reproduction, run once per bench session."""
-    return _pipeline_study.results
+def study(paper_study):
+    """The full paper-scale reproduction's results."""
+    return paper_study.results
 
 
 @pytest.fixture(scope="session")
-def _pipeline_study():
+def paper_study():
+    """The full paper-scale :class:`~repro.Study`, run once per session."""
     instance = Study(StudyConfig.paper_scale(seed=7))
     instance.run()
     yield instance

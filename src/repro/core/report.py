@@ -1,8 +1,8 @@
 """Text rendering of the paper's tables and figures from study results.
 
 Each ``render_*`` function prints one artifact in the same layout the paper
-uses, with the scaled measured values.  The benchmark harness calls these so
-`pytest benchmarks/ --benchmark-only` output visually mirrors the paper.
+uses, with the scaled measured values.  ``benchmarks/test_claims.py``
+prints them beside each experiment's claims (``pytest -s``).
 """
 
 from __future__ import annotations

@@ -95,6 +95,16 @@ class StudyResults:
     infected: Optional[InfectedHostsReport] = None
     phase_seconds: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_engine(cls, engine: StudyEngine) -> "StudyResults":
+        """The engine's materialized artifacts and phase timings."""
+        results = cls(config=engine.config,
+                      phase_seconds=engine.metrics.group_seconds())
+        for name in _RESULT_FIELDS:
+            if engine.materialized(name):
+                setattr(results, name, engine.artifact(name))
+        return results
+
     # -- derived views used by reports and benches -------------------------
 
     def table4_counts(self) -> Dict[str, Dict[ProtocolId, int]]:
@@ -206,11 +216,8 @@ class Study:
         self._sync()
 
     def _sync(self) -> None:
-        """Mirror engine artifacts and timings onto :class:`StudyResults`."""
-        for name in _RESULT_FIELDS:
-            if self.engine.materialized(name):
-                setattr(self.results, name, self.engine.artifact(name))
-        self.results.phase_seconds = self.engine.metrics.group_seconds()
+        """Refresh :attr:`results` from the engine's artifacts."""
+        self.results = StudyResults.from_engine(self.engine)
 
     # -- phases -----------------------------------------------------------
 

@@ -33,7 +33,9 @@ The default registry checks:
   what the batch analyses are (the operators' chunk invariance).
 
 The CLI's ``repro validate`` subcommand runs the registry and maps any
-violation to exit code 5.
+violation to exit code 5.  The paper's claims
+(:func:`repro.core.fidelity.claim_registry`) are invariants of the same
+kind in a registry of their own, which ``repro validate`` does not run.
 """
 
 from __future__ import annotations
@@ -238,13 +240,14 @@ def _check_stream_parity(engine) -> List[str]:
     fed the whole store at once — exactly what a live ``repro serve``
     campaign guarantees about its final snapshots.
     """
+    from repro.core.study import StudyResults
     from repro.stream.service import (
         default_operators,
         plane_rows,
         snapshots_match_batch,
     )
 
-    results = _StreamArtifacts(engine)
+    results = StudyResults.from_engine(engine)
     operators = default_operators(results)
     for plane in ("scan", "attacks", "telescope"):
         fed = [operator for operator in operators if operator.plane == plane]
@@ -256,17 +259,6 @@ def _check_stream_parity(engine) -> List[str]:
     return snapshots_match_batch(
         results, {operator.name: operator for operator in operators}
     )
-
-
-class _StreamArtifacts:
-    """Adapter giving :func:`snapshots_match_batch` its results view."""
-
-    _FIELDS = ("merged_db", "fingerprints", "schedule", "telescope",
-               "exonerator", "geo")
-
-    def __init__(self, engine) -> None:
-        for name in self._FIELDS:
-            setattr(self, name, engine.artifact(name))
 
 
 def default_registry() -> InvariantRegistry:
@@ -299,7 +291,8 @@ def default_registry() -> InvariantRegistry:
     ))
     registry.register(Invariant(
         name="stream.snapshots_match_batch", plane="stream",
-        requires=_StreamArtifacts._FIELDS,
+        requires=("merged_db", "fingerprints", "schedule", "telescope",
+                  "exonerator", "geo"),
         check=_check_stream_parity,
     ))
     return registry
